@@ -42,8 +42,9 @@ bool
 containsBytes(std::span<const std::uint8_t> haystack,
               std::span<const std::uint8_t> needle)
 {
-    // The fleet audits scan every device's whole DRAM after every
-    // scenario step, so this path is hot and kernel-dispatched.
+    // The fleet audits scan every page a device owns after every
+    // scenario step (CowBytes::contains), so this path is hot and
+    // kernel-dispatched.
     return host::kernels().bytes.containsBytes(haystack.data(),
                                                haystack.size(),
                                                needle.data(),

@@ -8,13 +8,13 @@ namespace sentry::core
 bool
 DramScanner::dramContains(std::span<const std::uint8_t> needle) const
 {
-    return containsBytes(soc_.dramRaw(), needle);
+    return soc_.dram().contains(needle);
 }
 
 bool
 DramScanner::iramContains(std::span<const std::uint8_t> needle) const
 {
-    return containsBytes(soc_.iramRaw(), needle);
+    return soc_.iram().contains(needle);
 }
 
 std::size_t

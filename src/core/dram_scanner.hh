@@ -22,7 +22,9 @@ class DramScanner
   public:
     explicit DramScanner(const hw::Soc &soc) : soc_(soc) {}
 
-    /** @return true if @p needle appears anywhere in DRAM cells. */
+    /** @return true if @p needle appears anywhere in DRAM cells. Scans
+     * only the pages the device owns (Zero pages are skipped) and
+     * never materializes the copy-on-write array. */
     bool dramContains(std::span<const std::uint8_t> needle) const;
 
     /** @return true if @p needle appears anywhere in iRAM cells. */

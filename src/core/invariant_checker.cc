@@ -17,10 +17,10 @@ InvariantChecker::addMarker(SecretMarker marker)
 CheckOutcome
 InvariantChecker::checkLive()
 {
-    std::vector<std::vector<std::uint8_t>> plaintextMarkers;
+    std::vector<std::span<const std::uint8_t>> plaintextMarkers;
     for (const SecretMarker &marker : markers_) {
         if (marker.sensitive)
-            plaintextMarkers.push_back(marker.bytes);
+            plaintextMarkers.emplace_back(marker.bytes);
     }
     SecurityAudit audit(kernel_, sentry_);
     const AuditReport report = audit.run(plaintextMarkers);

@@ -115,7 +115,7 @@ SecurityAudit::checkFlushMask(AuditReport &report)
 void
 SecurityAudit::checkMarkers(
     AuditReport &report,
-    std::span<const std::vector<std::uint8_t>> plaintext_markers)
+    std::span<const std::span<const std::uint8_t>> plaintext_markers)
 {
     if (!deviceLocked() || plaintext_markers.empty()) {
         report.findings.push_back({"plaintext-markers", true,
@@ -147,7 +147,7 @@ SecurityAudit::checkFreedPages(AuditReport &report)
 
 AuditReport
 SecurityAudit::run(
-    std::span<const std::vector<std::uint8_t>> plaintext_markers)
+    std::span<const std::span<const std::uint8_t>> plaintext_markers)
 {
     // Make DRAM reflect reality before scanning: push dirty lines out
     // of the unlocked ways (locked ways are exempt by design).

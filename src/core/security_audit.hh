@@ -63,8 +63,8 @@ class SecurityAudit
      * @param plaintext_markers byte strings that must not be in DRAM
      *        while the device is locked (e.g. known app secrets)
      */
-    AuditReport
-    run(std::span<const std::vector<std::uint8_t>> plaintext_markers = {});
+    AuditReport run(std::span<const std::span<const std::uint8_t>>
+                        plaintext_markers = {});
 
   private:
     void checkKeyResidency(AuditReport &report);
@@ -72,7 +72,7 @@ class SecurityAudit
     void checkFlushMask(AuditReport &report);
     void checkMarkers(
         AuditReport &report,
-        std::span<const std::vector<std::uint8_t>> plaintext_markers);
+        std::span<const std::span<const std::uint8_t>> plaintext_markers);
     void checkFreedPages(AuditReport &report);
 
     bool deviceLocked() const;

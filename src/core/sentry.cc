@@ -28,7 +28,7 @@ PhysAddr
 lockedWindowBase(const hw::Soc &soc, std::size_t way_size,
                  std::size_t l2_size)
 {
-    const PhysAddr top = DRAM_BASE + soc.dramRaw().size();
+    const PhysAddr top = DRAM_BASE + soc.dramSize();
     return alignDown(top - l2_size, way_size);
 }
 
@@ -517,7 +517,7 @@ double
 Sentry::encryptAllMemoryStrawman()
 {
     hw::Soc &soc = kernel_.soc();
-    const auto bytes = static_cast<double>(soc.dramRaw().size());
+    const auto bytes = static_cast<double>(soc.dramSize());
     const double seconds =
         bytes / soc.config().cost.fullMemEncryptBytesPerSec;
     soc.clock().advanceSeconds(seconds);

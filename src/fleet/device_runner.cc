@@ -547,8 +547,8 @@ class Runner
         bool haveDumps = false;
         if (step.attack == AttackKind::Dma) {
             attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramRaw().size());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramRaw().size());
+            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramSize());
+            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramSize());
             haveDumps = true;
         } else if (step.attack == AttackKind::BusMonitor) {
             // A DDR probe watches while the system generates traffic:
@@ -558,8 +558,8 @@ class Runner
             probe.startCapture();
             soc.l2().cleanAllMasked();
             attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramRaw().size());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramRaw().size());
+            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramSize());
+            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramSize());
             haveDumps = true;
             for (const core::SecretMarker &marker : checker_->markers()) {
                 if (!marker.sensitive)

@@ -2,10 +2,11 @@
  * @file
  * AVX2 byte-scan kernel tier for x86-64.
  *
- * The fleet audits dump and grep every device's whole DRAM after every
- * scenario step, and the Table 2 remanence methodology counts aligned
- * 8-byte pattern strides over full memory images — these scans dominate
- * bench_fleet's host wall once AES is hardware-accelerated.
+ * The fleet audits grep every page a device owns after every scenario
+ * step, attacks grep whole DMA and cold-boot dumps, and the Table 2
+ * remanence methodology counts aligned 8-byte pattern strides over
+ * full memory images — these scans are a large share of bench_fleet's
+ * host wall once AES is hardware-accelerated.
  */
 
 #include "host/kernels_detail.hh"

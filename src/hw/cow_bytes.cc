@@ -1,7 +1,9 @@
 #include "hw/cow_bytes.hh"
 
 #include <algorithm>
+#include <array>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace sentry::hw
@@ -69,6 +71,45 @@ CowBytes::contiguous() const
     return {local_.get(), size_};
 }
 
+bool
+CowBytes::contains(std::span<const std::uint8_t> needle) const
+{
+    const std::size_t n = needle.size();
+    if (n == 0)
+        return false; // matches nowhere, as in containsBytes()
+    // A zero needle matches inside Zero runs, and a needle longer than
+    // a page can span a whole run plus both seams; neither is worth a
+    // second walk.
+    if (n > PAGE_SIZE || allZero(needle))
+        return containsBytes(contiguous(), needle);
+
+    // A window of n <= PAGE_SIZE bytes lies inside one run or crosses
+    // exactly one seam (every run but the last is at least a page
+    // long), so scanning each non-Zero run in place plus the 2(n-1)
+    // bytes around each seam covers every window. Windows inside a
+    // Zero run are all zeros and cannot match a non-zero needle.
+    std::array<std::uint8_t, 2 * PAGE_SIZE> seam;
+    std::size_t runStart = 0;
+    for (std::size_t page = 1; page <= nPages_; ++page) {
+        if (page < nPages_ && continuesRun(page))
+            continue;
+        const std::size_t begin = runStart * PAGE_SIZE;
+        const std::size_t end = std::min(page * PAGE_SIZE, size_);
+        if (!pageIsZero(runStart) &&
+            containsBytes({readPtr_[runStart], end - begin}, needle))
+            return true;
+        if (page < nPages_ && n > 1) {
+            const std::size_t from = end - (n - 1);
+            const std::size_t to = std::min(end + (n - 1), size_);
+            read(from, seam.data(), to - from);
+            if (containsBytes({seam.data(), to - from}, needle))
+                return true;
+        }
+        runStart = page;
+    }
+    return false;
+}
+
 std::shared_ptr<const CowImage>
 CowBytes::freeze() const
 {
@@ -77,23 +118,33 @@ CowBytes::freeze() const
     image->pages_.resize(nPages_, nullptr);
 
     // Private pages are copied out so this instance stays free to keep
-    // mutating them; Shared pages are aliased (parent_ keeps the older
-    // image alive); Zero pages stay nullptr.
+    // mutating them, unless they hold only zeros: those are published
+    // as Zero, so a template that materialized its memory still forks
+    // into mostly-Zero devices. Shared pages are aliased (parent_ keeps
+    // the older image alive; images are zero-canonical already); Zero
+    // pages stay nullptr.
+    std::vector<std::uint8_t> copy(nPages_, 0);
     std::size_t copied = 0;
-    for (std::size_t page = 0; page < nPages_; ++page)
-        copied += private_[page] ? 1 : 0;
+    for (std::size_t page = 0; page < nPages_; ++page) {
+        if (!private_[page])
+            continue;
+        const std::size_t len =
+            std::min(PAGE_SIZE, size_ - page * PAGE_SIZE);
+        copy[page] = allZero({readPtr_[page], len}) ? 0 : 1;
+        copied += copy[page];
+    }
     if (copied > 0)
         image->owned_.reset(new std::uint8_t[copied * PAGE_SIZE]);
 
     std::size_t slot = 0;
     bool sharesBase = false;
     for (std::size_t page = 0; page < nPages_; ++page) {
-        if (private_[page]) {
+        if (copy[page]) {
             std::uint8_t *dst = image->owned_.get() + slot * PAGE_SIZE;
             std::memcpy(dst, readPtr_[page], PAGE_SIZE);
             image->pages_[page] = dst;
             ++slot;
-        } else if (readPtr_[page] != zeroPage()) {
+        } else if (!private_[page] && !pageIsZero(page)) {
             image->pages_[page] = readPtr_[page];
             sharesBase = true;
         }

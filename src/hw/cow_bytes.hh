@@ -6,16 +6,22 @@
  * a whole warmed device can be checkpointed and forked without copying
  * the full model. Pages are in one of three states:
  *
- *  - Zero:    never written; reads come from a shared all-zero page.
+ *  - Zero:    all zero; reads come from a shared all-zero page.
  *  - Shared:  read-only view into an immutable `CowImage` (a snapshot).
  *  - Private: this instance owns the page; writes landed here.
  *
  * `freeze()` publishes the current contents as an immutable, ref-counted
- * `CowImage` without disturbing this instance. `adopt()` rebinds this
- * instance to an image: every page becomes Shared (or Zero) and the
- * first write to a page privatizes it ("private-on-first-write"). The
- * set of Private pages is the fork's dirty bitmap; `privatePages()`
- * reports its population count.
+ * `CowImage` without disturbing this instance; pages holding only zeros
+ * are published as Zero, never copied. `adopt()` rebinds this instance
+ * to an image: every page becomes Shared (or Zero) and the first write
+ * to a page privatizes it ("private-on-first-write"). The set of
+ * Private pages is the fork's dirty bitmap; `privatePages()` reports
+ * its population count.
+ *
+ * Scanners use `contains()`: it walks page runs in place, skips Zero
+ * runs and never changes a page state, so its cost follows the pages a
+ * fork owns rather than the array size. `contiguous()` (behind
+ * `Dram::raw()` / `Iram::raw()`) is for dumps and tests only.
  *
  * Span-stability rule (the `raw()` contract for Dram/Iram): the
  * contiguous span returned by `contiguous()` materializes every page
@@ -122,8 +128,20 @@ class CowBytes
      */
     std::span<std::uint8_t> contiguous() const;
 
+    /**
+     * @return true if @p needle appears anywhere in the array; always
+     * the same answer as containsBytes(contiguous(), needle), but
+     * without materializing. Memory-adjacent page runs are scanned in
+     * place, Zero runs are skipped, and each seam between runs is
+     * checked through a stitched window of the bytes around it. An
+     * all-zero needle, or one longer than a page, falls back to the
+     * contiguous scan.
+     */
+    bool contains(std::span<const std::uint8_t> needle) const;
+
     /** Publish the current contents as an immutable image. Does not
-     * change this instance's page states. */
+     * change this instance's page states. All-zero pages are published
+     * as Zero (nullptr), so forks of the image can skip them. */
     std::shared_ptr<const CowImage> freeze() const;
 
     /** Become a COW view of @p image (same size required): drop all
@@ -157,6 +175,24 @@ class CowBytes
                   std::size_t len) const;
     void writeSlow(std::size_t offset, const std::uint8_t *in,
                    std::size_t len);
+
+    /** @return true if page @p page reads from the shared zero page. */
+    bool pageIsZero(std::size_t page) const
+    {
+        return readPtr_[page] == zeroPage();
+    }
+
+    /** @return true if page @p page continues the run ending at
+     * @p page - 1 in memory: same state, and its bytes follow the
+     * previous page's. */
+    bool continuesRun(std::size_t page) const
+    {
+        if (private_[page] != private_[page - 1])
+            return false;
+        if (pageIsZero(page) || pageIsZero(page - 1))
+            return pageIsZero(page) && pageIsZero(page - 1);
+        return readPtr_[page] == readPtr_[page - 1] + PAGE_SIZE;
+    }
 
     std::uint8_t *localPage(std::size_t page) const
     {

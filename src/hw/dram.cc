@@ -51,6 +51,15 @@ Dram::busWrite(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 }
 
 void
+Dram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
+{
+    if (offset + len > data_.size())
+        panic("DRAM cell write out of range: 0x%llx (+%zu)",
+              static_cast<unsigned long long>(offset), len);
+    data_.write(offset, buf, len);
+}
+
+void
 Dram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
     remanence_.decay(data_.contiguous(), off_seconds, celsius, rng);

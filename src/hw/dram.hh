@@ -109,9 +109,10 @@ class Dram : public BusTarget
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct (simulation-level) view of the cell array. Used by attack
-     * code that dumps memory and by test assertions; not charged to the
-     * simulated clock and not visible on the bus.
+     * Direct (simulation-level) view of the cell array, for memory
+     * dumps and test assertions only; not charged to the simulated
+     * clock and not visible on the bus. It materializes every page, so
+     * scanners use contains() instead.
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
@@ -120,6 +121,22 @@ class Dram : public BusTarget
      */
     std::span<std::uint8_t> raw() { return data_.contiguous(); }
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
+
+    /** @return true if @p needle appears anywhere in the cell array
+     * (simulation-level, untraced; see CowBytes::contains()). */
+    bool contains(std::span<const std::uint8_t> needle) const
+    {
+        return data_.contains(needle);
+    }
+
+    /**
+     * Simulation-level cell write: lands @p len bytes at @p offset
+     * copy-on-write, without a bus transaction or trace event (the
+     * boot firmware's image load, which raw() would otherwise cover
+     * by materializing the whole array).
+     */
+    void writeCells(PhysAddr offset, const std::uint8_t *buf,
+                    std::size_t len);
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

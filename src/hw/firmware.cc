@@ -1,5 +1,7 @@
 #include "hw/firmware.hh"
 
+#include <array>
+
 #include "common/types.hh"
 #include "hw/dram.hh"
 #include "hw/iram.hh"
@@ -13,20 +15,23 @@ Firmware::overwriteBootSlice(Dram &dram, double fraction, Rng &rng) const
 {
     // The loader and kernel image land on scattered physical pages;
     // model as randomly chosen 4 KiB pages filled with image bytes.
-    auto memory = dram.raw();
-    const std::size_t totalPages = memory.size() / PAGE_SIZE;
+    // Each page is written as cells, not through raw(), so a booted
+    // device stays copy-on-write: only the pages written here become
+    // private.
+    const std::size_t totalPages = dram.size() / PAGE_SIZE;
     const auto pagesToWrite =
         static_cast<std::size_t>(fraction * static_cast<double>(totalPages));
 
+    std::array<std::uint8_t, PAGE_SIZE> image;
     for (std::size_t i = 0; i < pagesToWrite; ++i) {
         const std::size_t page = rng.below(totalPages);
-        std::uint8_t *base = memory.data() + page * PAGE_SIZE;
         // Boot-image contents: deterministic-looking code bytes.
         for (std::size_t off = 0; off < PAGE_SIZE; off += 8) {
             const std::uint64_t word = rng.next64();
             for (std::size_t b = 0; b < 8; ++b)
-                base[off + b] = static_cast<std::uint8_t>(word >> (8 * b));
+                image[off + b] = static_cast<std::uint8_t>(word >> (8 * b));
         }
+        dram.writeCells(page * PAGE_SIZE, image.data(), image.size());
     }
 }
 

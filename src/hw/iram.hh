@@ -48,7 +48,9 @@ class Iram
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct simulation-level view (attack dumps, test assertions).
+     * Direct simulation-level view, for attack dumps and test
+     * assertions only. It materializes every page, so scanners use
+     * contains() instead.
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
@@ -57,6 +59,13 @@ class Iram
      */
     std::span<std::uint8_t> raw() { return data_.contiguous(); }
     std::span<const std::uint8_t> raw() const { return data_.contiguous(); }
+
+    /** @return true if @p needle appears anywhere in the cell array
+     * (simulation-level, untraced; see CowBytes::contains()). */
+    bool contains(std::span<const std::uint8_t> needle) const
+    {
+        return data_.contains(needle);
+    }
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

@@ -1,6 +1,7 @@
 #include "hw/l2_cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -28,6 +29,7 @@ L2Cache::L2Cache(SimClock &clock, Bus &bus, TrustZone &tz,
     data_.assign(sets_ * ways_ * CACHE_LINE_SIZE, 0);
     rr_.assign(sets_, 0);
     mru_.assign(sets_, 0);
+    dirtyWays_.assign(sets_, 0);
 }
 
 bool
@@ -93,7 +95,7 @@ L2Cache::writebackLine(std::size_t set, unsigned way)
     bus_.write(lineAddr(set, line), lineData(set, way), CACHE_LINE_SIZE,
                BusInitiator::CpuCache);
     clock_.advance(timing_.writebackCycles);
-    line.dirty = false;
+    markClean(set, way);
     ++stats_.writebacks;
 }
 
@@ -139,7 +141,7 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
                   CACHE_LINE_SIZE, BusInitiator::CpuCache);
         line.tag = tag;
         line.valid = true;
-        line.dirty = false;
+        markClean(set, static_cast<unsigned>(way));
         mru_[set] = static_cast<std::uint8_t>(way);
         ++stats_.fills;
     }
@@ -150,7 +152,7 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
         host::copyLine(rbuf, cached, len);
     } else {
         host::copyLine(cached, wbuf, len);
-        lines_[lineIndex(set, static_cast<unsigned>(way))].dirty = true;
+        markDirty(set, static_cast<unsigned>(way));
     }
 }
 
@@ -194,10 +196,17 @@ L2Cache::flushAllMasked()
 void
 L2Cache::cleanAllMasked()
 {
+    // Same visit order as a set-then-way walk of every line, restricted
+    // to the dirty ones. Both masks are re-read after every writeback,
+    // exactly as the full walk would see them.
     for (std::size_t set = 0; set < sets_; ++set) {
         for (unsigned way = 0; way < ways_; ++way) {
-            if (flushWayMask_ & (1u << way))
-                continue;
+            // Skip straight to the next dirty, unmasked way.
+            const std::uint32_t pending =
+                (dirtyWays_[set] & ~flushWayMask_) >> way;
+            if (pending == 0)
+                break;
+            way += static_cast<unsigned>(std::countr_zero(pending));
             writebackLine(set, way);
         }
     }
@@ -244,7 +253,7 @@ L2Cache::invalidateRange(PhysAddr addr, std::size_t len)
         if (way < 0 || (flushWayMask_ & (1u << way)))
             continue;
         lines_[lineIndex(set, static_cast<unsigned>(way))].valid = false;
-        lines_[lineIndex(set, static_cast<unsigned>(way))].dirty = false;
+        markClean(set, static_cast<unsigned>(way));
     }
 }
 
@@ -253,6 +262,7 @@ L2Cache::resetAndZero()
 {
     for (auto &line : lines_)
         line = Line{};
+    std::fill(dirtyWays_.begin(), dirtyWays_.end(), 0);
     std::memset(data_.data(), 0, data_.size());
     lockdownMask_ = 0;
     flushWayMask_ = 0;
@@ -304,20 +314,30 @@ L2Cache::wayHasDirtyLines(unsigned way) const
 L2Cache::ForkState
 L2Cache::forkState() const
 {
-    return ForkState{lines_, data_,          rr_,    mru_,
-                     lockdownMask_, flushWayMask_, stats_};
+    ForkState fs;
+    fs.lines = lines_;
+    fs.data = data_;
+    fs.rr = rr_;
+    fs.mru = mru_;
+    fs.dirtyWays = dirtyWays_;
+    fs.lockdownMask = lockdownMask_;
+    fs.flushWayMask = flushWayMask_;
+    fs.stats = stats_;
+    return fs;
 }
 
 void
 L2Cache::restoreForkState(const ForkState &fs)
 {
     if (fs.lines.size() != lines_.size() || fs.data.size() != data_.size() ||
-        fs.rr.size() != rr_.size() || fs.mru.size() != mru_.size())
+        fs.rr.size() != rr_.size() || fs.mru.size() != mru_.size() ||
+        fs.dirtyWays.size() != dirtyWays_.size())
         fatal("L2Cache::restoreForkState: geometry mismatch");
     std::copy(fs.lines.begin(), fs.lines.end(), lines_.begin());
     std::copy(fs.data.begin(), fs.data.end(), data_.begin());
     std::copy(fs.rr.begin(), fs.rr.end(), rr_.begin());
     std::copy(fs.mru.begin(), fs.mru.end(), mru_.begin());
+    std::copy(fs.dirtyWays.begin(), fs.dirtyWays.end(), dirtyWays_.begin());
     lockdownMask_ = fs.lockdownMask;
     flushWayMask_ = fs.flushWayMask;
     stats_ = fs.stats;

@@ -233,7 +233,8 @@ class L2Cache
     std::uint8_t *
     linePayloadForWrite(const L2LineId &id)
     {
-        lines_[id.index].dirty = true;
+        if (!lines_[id.index].dirty)
+            markDirty(id.index / ways_, id.index % ways_);
         return data_.data() + std::size_t{id.index} * CACHE_LINE_SIZE;
     }
 
@@ -264,6 +265,7 @@ class L2Cache
         std::vector<std::uint8_t> data;
         std::vector<std::uint32_t> rr;
         std::vector<std::uint8_t> mru;
+        std::vector<std::uint32_t> dirtyWays;
         std::uint32_t lockdownMask = 0;
         std::uint32_t flushWayMask = 0;
         L2Stats stats;
@@ -315,6 +317,20 @@ class L2Cache
     /** @return hit way index or -1. */
     int findWay(std::size_t set, std::uint64_t tag) const;
 
+    /** Set @p way's dirty bit in both the line and the set's mask. */
+    void markDirty(std::size_t set, unsigned way)
+    {
+        lines_[lineIndex(set, way)].dirty = true;
+        dirtyWays_[set] |= 1u << way;
+    }
+
+    /** Clear @p way's dirty bit in both the line and the set's mask. */
+    void markClean(std::size_t set, unsigned way)
+    {
+        lines_[lineIndex(set, way)].dirty = false;
+        dirtyWays_[set] &= ~(1u << way);
+    }
+
     /** Pick an allocatable victim way in @p set, or -1 if all locked. */
     int pickVictim(std::size_t set);
 
@@ -341,6 +357,11 @@ class L2Cache
     // of times) short-circuits in one compare. Pure lookup acceleration
     // — never changes which way findWay() reports.
     mutable std::vector<std::uint8_t> mru_;
+    // Per-set mask of the ways whose line is dirty, kept in step with
+    // L2Line::dirty by markDirty()/markClean(). It is a superset of the
+    // valid-and-dirty lines (writebackLine() re-checks), so the clean
+    // path visits only dirty lines instead of the whole tag store.
+    std::vector<std::uint32_t> dirtyWays_;
     std::uint32_t lockdownMask_ = 0;
     std::uint32_t flushWayMask_ = 0;
     probe::TraceEngine *trace_ = nullptr;

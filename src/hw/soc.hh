@@ -130,7 +130,9 @@ class Soc
     Rng &rng() { return rng_; }
     EnergyModel &energy() { return energy_; }
     Dram &dram() { return dram_; }
+    const Dram &dram() const { return dram_; }
     Iram &iram() { return iram_; }
+    const Iram &iram() const { return iram_; }
     Bus &bus() { return bus_; }
     TrustZone &trustzone() { return tz_; }
     L2Cache &l2() { return l2_; }
@@ -148,11 +150,20 @@ class Soc
      * has one; it sits idle unless the MemShield backend keys it). */
     MemCryptoEngine &memCrypto() { return *memCrypto_; }
 
-    /** Const view of the DRAM cell array (forensics/tests). */
+    /** Const view of the DRAM cell array (dumps/tests; materializes
+     * every page — use dramSize() for the size, dram().contains() to
+     * search). */
     std::span<const std::uint8_t> dramRaw() const { return dram_.raw(); }
 
-    /** Const view of the iRAM cell array (forensics/tests). */
+    /** Const view of the iRAM cell array (dumps/tests; materializes
+     * every page — use iramSize() for the size). */
     std::span<const std::uint8_t> iramRaw() const { return iram_.raw(); }
+
+    /** @return DRAM capacity in bytes. */
+    std::size_t dramSize() const { return dram_.size(); }
+
+    /** @return iRAM capacity in bytes. */
+    std::size_t iramSize() const { return iram_.size(); }
 
     /** Physical address of the first DRAM byte. */
     PhysAddr dramBase() const { return DRAM_BASE; }

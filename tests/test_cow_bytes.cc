@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.hh"
+#include "host/kernels.hh"
 #include "hw/cow_bytes.hh"
 
 using namespace sentry;
@@ -218,6 +224,257 @@ TEST(CowBytes, ContiguousMaterializesAndStaysCoherent)
     std::uint8_t back = 0;
     fork.read(456, &back, 1);
     EXPECT_EQ(back, 0xcd);
+}
+
+TEST(CowBytes, FreezePublishesZeroPagesAsZero)
+{
+    CowBytes source(4 * PAGE_SIZE);
+    source.contiguous(); // every page Private, all still zero
+    const std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
+    source.write(PAGE_SIZE, zeros.data(), zeros.size());
+    const auto data = pattern(PAGE_SIZE, 0x61);
+    source.write(2 * PAGE_SIZE, data.data(), data.size());
+    EXPECT_EQ(source.privatePages(), 4u);
+
+    const auto image = source.freeze();
+    EXPECT_EQ(image->page(0), nullptr);
+    EXPECT_EQ(image->page(1), nullptr);
+    ASSERT_NE(image->page(2), nullptr);
+    EXPECT_EQ(0, std::memcmp(image->page(2), data.data(), PAGE_SIZE));
+    EXPECT_EQ(image->page(3), nullptr);
+    EXPECT_EQ(source.privatePages(), 4u); // freeze leaves states alone
+
+    CowBytes fork(4 * PAGE_SIZE);
+    fork.adopt(image);
+    EXPECT_EQ(fork.privatePages(), 0u);
+    const auto all = readAll(fork);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const std::uint8_t want =
+            i / PAGE_SIZE == 2 ? data[i % PAGE_SIZE] : 0;
+        ASSERT_EQ(all[i], want) << "byte " << i;
+    }
+    EXPECT_EQ(fork.privatePages(), 0u);
+}
+
+TEST(CowBytes, FreezeKeepsDataInPartialLastPage)
+{
+    const std::size_t size = 2 * PAGE_SIZE + 100;
+    CowBytes source(size);
+    source.contiguous();
+    const std::uint8_t byte = 0x5a;
+    source.write(size - 1, &byte, 1);
+    const auto image = source.freeze();
+    EXPECT_EQ(image->page(0), nullptr);
+    EXPECT_EQ(image->page(1), nullptr);
+    ASSERT_NE(image->page(2), nullptr);
+
+    CowBytes fork(size);
+    fork.adopt(image);
+    std::uint8_t back = 0;
+    fork.read(size - 1, &back, 1);
+    EXPECT_EQ(back, byte);
+}
+
+namespace
+{
+
+/** Where a page of a ContainsMix reads from. */
+enum class PageKind
+{
+    Zero,    //!< the shared zero page
+    SharedA, //!< a page copied into the first image
+    SharedB, //!< a page copied into the second image
+    Private, //!< the fork's own storage
+};
+
+/**
+ * A fork whose pages are a random mix of every state, with Shared
+ * pages from two images (so neighbouring Shared pages need not be
+ * adjacent in memory), and a last page @p tail bytes short.
+ */
+struct ContainsMix
+{
+    ContainsMix(std::size_t pages, std::size_t tail, std::uint64_t seed)
+        : size(pages * PAGE_SIZE - tail), kinds(pages), bytes(size)
+    {
+        std::mt19937_64 rng(seed);
+        // Writes @p len random bytes (a third of them zero) somewhere
+        // inside @p page.
+        const auto randomFill = [&](CowBytes &into, std::size_t page,
+                                    std::size_t len) {
+            const std::size_t base = page * PAGE_SIZE;
+            const std::size_t pageLen = std::min(PAGE_SIZE, size - base);
+            len = std::min(len, pageLen);
+            std::vector<std::uint8_t> data(len);
+            for (auto &b : data)
+                b = static_cast<std::uint8_t>(rng() % 3 == 0 ? 0 : rng());
+            into.write(base + rng() % (pageLen - len + 1), data.data(),
+                       data.size());
+        };
+
+        for (auto &kind : kinds)
+            kind = static_cast<PageKind>(rng() % 4);
+
+        // Image A: SharedA pages, plus some pages that end up Private
+        // (privatized from Shared) and one materialized zero page that
+        // freeze() must publish as Zero.
+        CowBytes genA(size);
+        for (std::size_t page = 0; page < pages; ++page) {
+            if (kinds[page] == PageKind::SharedA ||
+                (kinds[page] == PageKind::Private && rng() % 2 == 0))
+                randomFill(genA, page, PAGE_SIZE);
+        }
+        const std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
+        for (std::size_t page = 0; page < pages; ++page) {
+            if (kinds[page] == PageKind::Zero) {
+                genA.write(page * PAGE_SIZE, zeros.data(),
+                           std::min(PAGE_SIZE, size - page * PAGE_SIZE));
+                break;
+            }
+        }
+
+        // Image B aliases image A's pages and copies the SharedB ones.
+        CowBytes genB(size);
+        genB.adopt(genA.freeze());
+        for (std::size_t page = 0; page < pages; ++page) {
+            if (kinds[page] == PageKind::SharedB)
+                randomFill(genB, page, PAGE_SIZE);
+        }
+
+        bytes.adopt(genB.freeze());
+        for (std::size_t page = 0; page < pages; ++page) {
+            if (kinds[page] == PageKind::Private)
+                randomFill(bytes, page, 1 + rng() % PAGE_SIZE);
+        }
+        reference = readAll(bytes);
+    }
+
+    /** @return the bytes at [offset, offset + len) (clipped). */
+    std::vector<std::uint8_t>
+    slice(std::size_t offset, std::size_t len) const
+    {
+        offset = std::min(offset, size - len);
+        return {reference.begin() + static_cast<std::ptrdiff_t>(offset),
+                reference.begin() +
+                    static_cast<std::ptrdiff_t>(offset + len)};
+    }
+
+    std::size_t size;
+    std::vector<PageKind> kinds;
+    CowBytes bytes;
+    std::vector<std::uint8_t> reference; //!< contents, read without
+                                         //!< materializing
+};
+
+/** contains() must agree with a flat scan and leave states alone. */
+void
+expectContainsMatchesFlatScan(const ContainsMix &mix,
+                              const std::vector<std::uint8_t> &needle)
+{
+    // A slice of zeros takes the materializing fallback, which would
+    // flatten the mix for every later check; the fallback block of
+    // runContainsEquivalence() covers it.
+    if (allZero(needle))
+        return;
+    const std::size_t privateBefore = mix.bytes.privatePages();
+    EXPECT_EQ(mix.bytes.contains(needle),
+              containsBytes(mix.reference, needle))
+        << "needle of " << needle.size() << " bytes";
+    EXPECT_EQ(mix.bytes.privatePages(), privateBefore);
+}
+
+/** Every placement the page-run walk has an edge case for. */
+void
+checkMix(const ContainsMix &mix, std::mt19937_64 &rng)
+{
+    for (const std::size_t n : {std::size_t{1}, std::size_t{16},
+                                std::size_t{32}}) {
+        // First byte, last byte, and every page seam at every
+        // straddle (the last seam runs into the partial page).
+        expectContainsMatchesFlatScan(mix, mix.slice(0, n));
+        expectContainsMatchesFlatScan(mix, mix.slice(mix.size - n, n));
+        for (std::size_t page = 1; page < mix.kinds.size(); ++page) {
+            const std::size_t seam = page * PAGE_SIZE;
+            for (const std::size_t before : {std::size_t{1}, n / 2,
+                                             n - 1}) {
+                if (before == 0)
+                    continue;
+                auto needle = mix.slice(seam - before, n);
+                expectContainsMatchesFlatScan(mix, needle);
+                // A near miss: same bytes with the last one changed.
+                needle.back() ^= 0x80;
+                expectContainsMatchesFlatScan(mix, needle);
+            }
+        }
+        // Random positions and (almost surely) absent random needles.
+        for (int i = 0; i < 16; ++i) {
+            expectContainsMatchesFlatScan(
+                mix, mix.slice(rng() % (mix.size - n + 1), n));
+            std::vector<std::uint8_t> absent(n);
+            for (auto &b : absent)
+                b = static_cast<std::uint8_t>(rng());
+            expectContainsMatchesFlatScan(mix, absent);
+        }
+    }
+}
+
+/** Run the randomized equivalence check on the active kernel tier. */
+void
+runContainsEquivalence()
+{
+    std::set<std::pair<PageKind, PageKind>> seams;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull);
+        const ContainsMix mix(24, seed % 3 == 0 ? 0 : 1000 + seed, seed);
+        for (std::size_t page = 1; page < mix.kinds.size(); ++page)
+            seams.emplace(mix.kinds[page - 1], mix.kinds[page]);
+        checkMix(mix, rng);
+    }
+    EXPECT_EQ(seams.size(), 16u) << "every ordered pair of page kinds "
+                                    "must meet at some seam";
+
+    // The fallbacks: longer than a page, and all-zero (which matches
+    // inside Zero runs). Both materialize, so they run last.
+    for (std::uint64_t seed = 100; seed < 104; ++seed) {
+        ContainsMix mix(8, 700, seed);
+        const auto longNeedle = mix.slice(PAGE_SIZE - 9, PAGE_SIZE + 1);
+        EXPECT_EQ(mix.bytes.contains(longNeedle),
+                  containsBytes(mix.reference, longNeedle));
+        auto absentLong = longNeedle;
+        absentLong[PAGE_SIZE / 2] ^= 0x01;
+        EXPECT_EQ(mix.bytes.contains(absentLong),
+                  containsBytes(mix.reference, absentLong));
+        const std::vector<std::uint8_t> zeros(24, 0);
+        EXPECT_EQ(mix.bytes.contains(zeros),
+                  containsBytes(mix.reference, zeros));
+        EXPECT_EQ(mix.bytes.contains(zeros),
+                  containsBytes(mix.bytes.contiguous(), zeros));
+    }
+}
+
+} // namespace
+
+TEST(CowBytesContains, MatchesFlatScanOnActiveTier)
+{
+    runContainsEquivalence();
+}
+
+TEST(CowBytesContains, MatchesFlatScanOnPortableTier)
+{
+    host::setActiveKernelsForTest(&host::portableKernels());
+    runContainsEquivalence();
+    host::setActiveKernelsForTest(nullptr);
+}
+
+TEST(CowBytesContains, SkipsZeroPagesWithoutMaterializing)
+{
+    CowBytes bytes(64 * PAGE_SIZE);
+    const std::array<std::uint8_t, 4> needle = {0xde, 0xad, 0xbe, 0xef};
+    EXPECT_FALSE(bytes.contains(needle));
+    bytes.write(40 * PAGE_SIZE - 2, needle.data(), needle.size());
+    EXPECT_TRUE(bytes.contains(needle));
+    EXPECT_EQ(bytes.privatePages(), 2u);
+    EXPECT_FALSE(bytes.contains(std::span<const std::uint8_t>{}));
 }
 
 TEST(CowBytesDeath, AdoptRejectsSizeMismatch)

@@ -147,7 +147,7 @@ TEST_F(KcryptdFixture, NoPlaintextOnDiskOrInDram)
     EXPECT_FALSE(containsBytes(device.soc().dram().raw(), marker));
 
     // The programmatic audit agrees (markers checked among the rest).
-    const std::vector<std::vector<std::uint8_t>> markers{marker};
+    const std::span<const std::uint8_t> markers[] = {marker};
     SecurityAudit audit(device.kernel(), device.sentry());
     EXPECT_TRUE(audit.run(markers).allPassed());
 }

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "common/bytes.hh"
 #include "common/sim_clock.hh"
+#include "common/trace_engine.hh"
 #include "hw/bus.hh"
 #include "hw/dram.hh"
 #include "hw/l2_cache.hh"
@@ -233,4 +237,179 @@ TEST_F(L2Fixture, WayDirtyTracking)
     lockdown(0xfe); // allocate into way 0 only
     write32(DRAM_BASE + 0x40, 1);
     EXPECT_TRUE(l2.wayHasDirtyLines(0));
+}
+
+namespace
+{
+
+/** One CacheEvent (a line writeback) as observed on the trace spine. */
+struct Writeback
+{
+    unsigned way;
+    bool wayLocked;
+    PhysAddr addr;
+
+    bool operator==(const Writeback &) const = default;
+};
+
+struct WritebackLog : probe::Subscriber
+{
+    void
+    onCacheEvent(probe::CacheEvent &event) override
+    {
+        events.push_back({event.way, event.wayLocked, event.addr});
+    }
+
+    std::vector<Writeback> events;
+};
+
+/**
+ * The writebacks cleanAllMasked() owes: a nested set-then-way walk of
+ * every line, keeping the valid-and-dirty lines of unmasked ways.
+ */
+std::vector<Writeback>
+referenceClean(const L2Cache &l2)
+{
+    const L2Cache::ForkState fs = l2.forkState();
+    std::vector<Writeback> out;
+    for (std::size_t set = 0; set < l2.numSets(); ++set) {
+        for (unsigned way = 0; way < l2.ways(); ++way) {
+            if (fs.flushWayMask & (1u << way))
+                continue;
+            const L2Line &line = fs.lines[set * l2.ways() + way];
+            if (!line.valid || !line.dirty)
+                continue;
+            out.push_back({way, ((fs.lockdownMask >> way) & 1u) != 0,
+                           (line.tag * l2.numSets() + set) *
+                               CACHE_LINE_SIZE});
+        }
+    }
+    return out;
+}
+
+struct L2DirtyMaskFixture : L2Fixture
+{
+    L2DirtyMaskFixture()
+    {
+        l2.setTraceEngine(&engine);
+        engine.subscribe(&log, probe::maskOf(probe::TraceKind::CacheEvent));
+    }
+
+    ~L2DirtyMaskFixture() override { engine.unsubscribe(&log); }
+
+    /**
+     * @p ops random accesses over a 4 MiB window (four times the
+     * cache): slow-path reads and writes, fast-path line writes, range
+     * cleans and invalidates, and an occasional masked flush.
+     */
+    void
+    randomTraffic(std::mt19937_64 &rng, int ops)
+    {
+        for (int i = 0; i < ops; ++i) {
+            const PhysAddr addr =
+                DRAM_BASE + (rng() % (4 * MiB)) / 4 * 4;
+            const unsigned op = static_cast<unsigned>(rng() % 100);
+            if (op < 45) {
+                write32(addr, static_cast<std::uint32_t>(rng()));
+            } else if (op < 75) {
+                read32(addr);
+            } else if (op < 90) {
+                L2LineId id;
+                if (l2.probeLine(addr, id) != nullptr)
+                    l2.linePayloadForWrite(id)[addr % CACHE_LINE_SIZE] =
+                        static_cast<std::uint8_t>(rng());
+            } else if (op < 95) {
+                l2.invalidateRange(addr, 8 * CACHE_LINE_SIZE);
+            } else if (op < 99) {
+                l2.cleanRange(addr, 8 * CACHE_LINE_SIZE);
+            } else if (rng() % 8 == 0) {
+                l2.flushAllMasked();
+            }
+        }
+    }
+
+    /** Dirty lines in ways 0-1 (locked and flush-masked afterwards)
+     * plus random traffic through the other ways. */
+    void
+    dirtyEveryKindOfWay(std::mt19937_64 &rng)
+    {
+        lockdown(0xfc);
+        randomTraffic(rng, 4000);
+        lockdown(0x03);
+        l2.setFlushWayMask(0x03);
+        randomTraffic(rng, 20000);
+    }
+
+    probe::TraceEngine engine;
+    WritebackLog log;
+};
+
+} // namespace
+
+TEST_F(L2DirtyMaskFixture, CleanWritesBackExactlyDirtyUnmaskedLinesInOrder)
+{
+    std::mt19937_64 rng(7);
+    dirtyEveryKindOfWay(rng);
+    for (int round = 0; round < 4; ++round) {
+        const std::vector<Writeback> expected = referenceClean(l2);
+        ASSERT_FALSE(expected.empty());
+        const auto before = l2.forkState();
+        log.events.clear();
+        l2.cleanAllMasked();
+        EXPECT_EQ(log.events, expected) << "round " << round;
+        EXPECT_TRUE(referenceClean(l2).empty());
+        // The masked ways keep their dirty lines untouched.
+        const auto after = l2.forkState();
+        for (std::size_t i = 0; i < after.lines.size(); ++i) {
+            if (i % l2.ways() < 2) {
+                ASSERT_EQ(after.lines[i].dirty, before.lines[i].dirty);
+                ASSERT_EQ(after.lines[i].valid, before.lines[i].valid);
+            }
+        }
+        EXPECT_TRUE(l2.wayHasDirtyLines(0) || l2.wayHasDirtyLines(1));
+        randomTraffic(rng, 5000);
+    }
+
+    // With no flush mask every dirty line goes, locked ones included.
+    l2.setFlushWayMask(0);
+    const std::vector<Writeback> expected = referenceClean(l2);
+    log.events.clear();
+    l2.cleanAllMasked();
+    EXPECT_EQ(log.events, expected);
+    for (unsigned way = 0; way < l2.ways(); ++way)
+        EXPECT_FALSE(l2.wayHasDirtyLines(way)) << "way " << way;
+
+    // Reset discards the dirty state without writeback.
+    randomTraffic(rng, 2000);
+    l2.resetAndZero();
+    log.events.clear();
+    l2.cleanAllMasked();
+    EXPECT_TRUE(log.events.empty());
+}
+
+TEST_F(L2DirtyMaskFixture, DirtyMaskRidesForkState)
+{
+    std::mt19937_64 rng(11);
+    dirtyEveryKindOfWay(rng);
+    const L2Cache::ForkState fs = l2.forkState();
+    const std::vector<Writeback> expected = referenceClean(l2);
+    ASSERT_FALSE(expected.empty());
+
+    // Restore over a cache whose dirty state has since moved on.
+    randomTraffic(rng, 20000);
+    l2.cleanAllMasked();
+    randomTraffic(rng, 3000);
+    l2.restoreForkState(fs);
+    log.events.clear();
+    l2.cleanAllMasked();
+    EXPECT_EQ(log.events, expected);
+
+    // And into a freshly built cache of the same geometry.
+    L2Cache other(clock, bus, tz, DRAM_BASE, dram.size(), 1 * MiB, 8);
+    other.setTraceEngine(&engine);
+    other.restoreForkState(fs);
+    log.events.clear();
+    other.cleanAllMasked();
+    EXPECT_EQ(log.events, expected);
+    EXPECT_TRUE(referenceClean(other).empty());
 }

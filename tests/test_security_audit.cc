@@ -38,7 +38,7 @@ struct AuditFixture : testing::Test
     audit()
     {
         SecurityAudit auditor(device.kernel(), device.sentry());
-        const std::vector<std::vector<std::uint8_t>> markers = {SECRET};
+        const std::span<const std::uint8_t> markers[] = {SECRET};
         return auditor.run(markers);
     }
 
