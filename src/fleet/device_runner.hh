@@ -210,8 +210,12 @@ std::uint64_t samplePriority(std::uint64_t device_seed, std::uint64_t salt,
  * of constructing and destructing a full stack per device — the fork
  * rewrites all simulated state, so a recycled device is bit-identical
  * to a freshly constructed one (the determinism tests cover this).
- * Cold-boot mode ignores the pool: construction *is* the boot being
- * measured there.
+ * Re-forking from the template the device last forked from restores
+ * only what the previous device changed (the L2 sets and DRAM/iRAM
+ * pages it touched), so a pool's per-device fork cost follows the
+ * work the device did, not the L2 and DRAM size; switching templates
+ * takes the full restore. Cold-boot mode ignores the pool:
+ * construction *is* the boot being measured there.
  */
 struct DevicePool
 {

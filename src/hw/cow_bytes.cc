@@ -27,6 +27,17 @@ CowBytes::CowBytes(std::size_t size)
 }
 
 void
+CowBytes::privatize(std::size_t page)
+{
+    std::uint8_t *data = localPage(page);
+    std::memcpy(data, readPtr_[page], PAGE_SIZE);
+    readPtr_[page] = data;
+    private_[page] = 1;
+    ++privateCount_;
+    privatized_.push_back(page);
+}
+
+void
 CowBytes::readSlow(std::size_t offset, std::uint8_t *out,
                    std::size_t len) const
 {
@@ -162,12 +173,23 @@ CowBytes::adopt(std::shared_ptr<const CowImage> image)
     if (image->size() != size_)
         panic("CowBytes::adopt: size mismatch (%zu vs %zu)",
               image->size(), size_);
-    base_ = std::move(image);
-    for (std::size_t page = 0; page < nPages_; ++page) {
+    const auto share = [&](std::size_t page) {
         const std::uint8_t *src = base_->page(page);
         readPtr_[page] = src != nullptr ? src : zeroPage();
         private_[page] = 0;
+    };
+    // base_ holds the image alive, so pointer equality means "same
+    // image"; zeroAll() drops base_, and a journal shorter than
+    // privateCount_ means contiguous() privatized pages it missed.
+    if (image == base_ && privatized_.size() == privateCount_) {
+        for (const std::size_t page : privatized_)
+            share(page);
+    } else {
+        base_ = std::move(image);
+        for (std::size_t page = 0; page < nPages_; ++page)
+            share(page);
     }
+    privatized_.clear();
     privateCount_ = 0;
 }
 

@@ -145,7 +145,11 @@ class CowBytes
     std::shared_ptr<const CowImage> freeze() const;
 
     /** Become a COW view of @p image (same size required): drop all
-     * private pages, share the image's. Invalidates prior spans. */
+     * private pages, share the image's. Invalidates prior spans.
+     * Re-adopting the image adopted last resets only the pages
+     * privatized since, so a recycled fork costs O(pages it wrote);
+     * after contiguous() or zeroAll(), or for another image, every
+     * page slot is rewritten. */
     void adopt(std::shared_ptr<const CowImage> image);
 
     /**
@@ -202,15 +206,14 @@ class CowBytes
     /** Copy-on-write: give page @p page its own storage. */
     std::uint8_t *privatePage(std::size_t page)
     {
-        std::uint8_t *data = localPage(page);
-        if (!private_[page]) {
-            std::memcpy(data, readPtr_[page], PAGE_SIZE);
-            readPtr_[page] = data;
-            private_[page] = 1;
-            ++privateCount_;
-        }
-        return data;
+        if (!private_[page])
+            privatize(page);
+        return localPage(page);
     }
+
+    /** First-write slow path of privatePage(), kept out of line so
+     * the inlined write path stays small. */
+    void privatize(std::size_t page);
 
     std::size_t size_;
     std::size_t nPages_;
@@ -223,6 +226,10 @@ class CowBytes
     mutable std::vector<const std::uint8_t *> readPtr_;
     mutable std::vector<std::uint8_t> private_;
     mutable std::size_t privateCount_ = 0;
+    /** Pages privatePage() privatized since the last adopt(), in
+     * order. Complete only while its length equals privateCount_:
+     * contiguous() privatizes without journaling. */
+    std::vector<std::size_t> privatized_;
     std::shared_ptr<const CowImage> base_;
 };
 

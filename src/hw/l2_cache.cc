@@ -1,6 +1,7 @@
 #include "hw/l2_cache.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -30,6 +31,7 @@ L2Cache::L2Cache(SimClock &clock, Bus &bus, TrustZone &tz,
     rr_.assign(sets_, 0);
     mru_.assign(sets_, 0);
     dirtyWays_.assign(sets_, 0);
+    touched_.assign(sets_, 1); // nothing restored yet: all differ
 }
 
 bool
@@ -57,6 +59,13 @@ L2Cache::findWay(std::size_t set, std::uint64_t tag) const
         }
     }
     return -1;
+}
+
+void
+L2Cache::journalSet(std::size_t set)
+{
+    touched_[set] = 1;
+    touchedSets_.push_back(static_cast<std::uint32_t>(set));
 }
 
 int
@@ -135,6 +144,8 @@ L2Cache::access(PhysAddr addr, std::uint8_t *rbuf, const std::uint8_t *wbuf,
             }
             return;
         }
+        // Journals pickVictim()'s rr_ step, the writeback and the fill.
+        touchSet(set);
         writebackLine(set, static_cast<unsigned>(way));
         Line &line = lines_[lineIndex(set, static_cast<unsigned>(way))];
         bus_.read(lineBase, lineData(set, static_cast<unsigned>(way)),
@@ -188,6 +199,7 @@ L2Cache::flushAllMasked()
             if (!line.valid)
                 continue;
             writebackLine(set, way);
+            touchSet(set);
             line.valid = false;
         }
     }
@@ -224,6 +236,7 @@ L2Cache::rawFlushAll()
             if (!line.valid)
                 continue;
             writebackLine(set, way);
+            touchSet(set);
             line.valid = false;
         }
     }
@@ -266,6 +279,11 @@ L2Cache::resetAndZero()
     std::memset(data_.data(), 0, data_.size());
     lockdownMask_ = 0;
     flushWayMask_ = 0;
+    // Every set changed: forget the restored state, so the next
+    // restore is a full one, and stop journaling until then.
+    std::fill(touched_.begin(), touched_.end(), 1);
+    touchedSets_.clear();
+    restoredId_ = 0;
 }
 
 const std::uint8_t *
@@ -314,7 +332,9 @@ L2Cache::wayHasDirtyLines(unsigned way) const
 L2Cache::ForkState
 L2Cache::forkState() const
 {
+    static std::atomic<std::uint64_t> nextId{1};
     ForkState fs;
+    fs.id = nextId++;
     fs.lines = lines_;
     fs.data = data_;
     fs.rr = rr_;
@@ -333,11 +353,32 @@ L2Cache::restoreForkState(const ForkState &fs)
         fs.rr.size() != rr_.size() || fs.mru.size() != mru_.size() ||
         fs.dirtyWays.size() != dirtyWays_.size())
         fatal("L2Cache::restoreForkState: geometry mismatch");
-    std::copy(fs.lines.begin(), fs.lines.end(), lines_.begin());
-    std::copy(fs.data.begin(), fs.data.end(), data_.begin());
-    std::copy(fs.rr.begin(), fs.rr.end(), rr_.begin());
+    // Re-fork of the same state: every unjournaled set still holds
+    // it. Past half the sets, one bulk copy beats the per-set walk.
+    if (fs.id != 0 && fs.id == restoredId_ &&
+        touchedSets_.size() * 2 < sets_) {
+        for (const std::uint32_t set : touchedSets_) {
+            const std::size_t first = lineIndex(set, 0);
+            std::copy_n(fs.lines.begin() + first, ways_,
+                        lines_.begin() + first);
+            std::memcpy(data_.data() + first * CACHE_LINE_SIZE,
+                        fs.data.data() + first * CACHE_LINE_SIZE,
+                        ways_ * CACHE_LINE_SIZE);
+            rr_[set] = fs.rr[set];
+            dirtyWays_[set] = fs.dirtyWays[set];
+            touched_[set] = 0;
+        }
+    } else {
+        std::copy(fs.lines.begin(), fs.lines.end(), lines_.begin());
+        std::copy(fs.data.begin(), fs.data.end(), data_.begin());
+        std::copy(fs.rr.begin(), fs.rr.end(), rr_.begin());
+        std::copy(fs.dirtyWays.begin(), fs.dirtyWays.end(),
+                  dirtyWays_.begin());
+        std::fill(touched_.begin(), touched_.end(), 0);
+    }
+    touchedSets_.clear();
+    restoredId_ = fs.id;
     std::copy(fs.mru.begin(), fs.mru.end(), mru_.begin());
-    std::copy(fs.dirtyWays.begin(), fs.dirtyWays.end(), dirtyWays_.begin());
     lockdownMask_ = fs.lockdownMask;
     flushWayMask_ = fs.flushWayMask;
     stats_ = fs.stats;

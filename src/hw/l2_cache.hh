@@ -233,8 +233,12 @@ class L2Cache
     std::uint8_t *
     linePayloadForWrite(const L2LineId &id)
     {
+        const std::size_t set = id.index / ways_;
+        // The payload changes even when the line is already dirty, so
+        // the set is journaled unconditionally.
+        touchSet(set);
         if (!lines_[id.index].dirty)
-            markDirty(id.index / ways_, id.index % ways_);
+            markDirty(set, id.index % ways_);
         return data_.data() + std::size_t{id.index} * CACHE_LINE_SIZE;
     }
 
@@ -258,9 +262,16 @@ class L2Cache
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */
     void setTraceEngine(probe::TraceEngine *trace) { trace_ = trace; }
 
-    /** Complete mutable controller state for snapshot/fork. */
+    /**
+     * Complete mutable controller state for snapshot/fork. Treat a
+     * captured ForkState as immutable: its id names its contents.
+     */
     struct ForkState
     {
+        /** Process-unique capture id stamped by forkState() (0 for a
+         * hand-built state). Not an address: a freed state's storage
+         * can be reused by a later capture. */
+        std::uint64_t id = 0;
         std::vector<L2Line> lines;
         std::vector<std::uint8_t> data;
         std::vector<std::uint32_t> rr;
@@ -278,6 +289,13 @@ class L2Cache
      * Overwrite this controller's state in place (geometry must match;
      * fatal otherwise). Storage is reused, so L2LineId handles never
      * dangle — stale ids simply fail lineResident() revalidation.
+     *
+     * Re-restoring the ForkState restored last copies only the sets
+     * journaled as changed since then (plus the 4 KiB MRU hints, which
+     * const probes move), so re-forking a recycled device costs
+     * O(touched sets). A different state, a first restore, a
+     * resetAndZero() since, or a journal covering half the sets or
+     * more takes the full O(lines + payload) copy.
      */
     void restoreForkState(const ForkState &fs);
 
@@ -317,9 +335,21 @@ class L2Cache
     /** @return hit way index or -1. */
     int findWay(std::size_t set, std::uint64_t tag) const;
 
+    /** Journal @p set as changed since the last restoreForkState(). */
+    void touchSet(std::size_t set)
+    {
+        if (!touched_[set])
+            journalSet(set);
+    }
+
+    /** First-touch slow path of touchSet(), kept out of line so the
+     * inlined access paths stay small. */
+    void journalSet(std::size_t set);
+
     /** Set @p way's dirty bit in both the line and the set's mask. */
     void markDirty(std::size_t set, unsigned way)
     {
+        touchSet(set);
         lines_[lineIndex(set, way)].dirty = true;
         dirtyWays_[set] |= 1u << way;
     }
@@ -327,6 +357,7 @@ class L2Cache
     /** Clear @p way's dirty bit in both the line and the set's mask. */
     void markClean(std::size_t set, unsigned way)
     {
+        touchSet(set);
         lines_[lineIndex(set, way)].dirty = false;
         dirtyWays_[set] &= ~(1u << way);
     }
@@ -365,6 +396,16 @@ class L2Cache
     std::uint32_t lockdownMask_ = 0;
     std::uint32_t flushWayMask_ = 0;
     probe::TraceEngine *trace_ = nullptr;
+
+    // Touched-set journal: the sets whose lines_, data_, rr_ or
+    // dirtyWays_ entries may differ from ForkState restoredId_. Every
+    // mutation goes through touchSet(). restoredId_ 0 forces the next
+    // restore to be a full one; construction and resetAndZero() set it
+    // and every flag, so nothing is journaled until that restore
+    // clears them. mru_ and the scalars are always copied whole.
+    std::vector<std::uint8_t> touched_;
+    std::vector<std::uint32_t> touchedSets_;
+    std::uint64_t restoredId_ = 0;
 
     L2Stats stats_;
 };

@@ -10,12 +10,14 @@
 #include <cstring>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hh"
 #include "host/kernels.hh"
 #include "hw/cow_bytes.hh"
+#include "hw/dram.hh"
 
 using namespace sentry;
 using namespace sentry::hw;
@@ -475,6 +477,144 @@ TEST(CowBytesContains, SkipsZeroPagesWithoutMaterializing)
     EXPECT_TRUE(bytes.contains(needle));
     EXPECT_EQ(bytes.privatePages(), 2u);
     EXPECT_FALSE(bytes.contains(std::span<const std::uint8_t>{}));
+}
+
+namespace
+{
+
+/** Random bytes: unlike pattern() output, which is always a shifted
+ * copy of any other pattern(), these match no image page by chance. */
+std::vector<std::uint8_t>
+randomBytes(std::mt19937_64 &rng, std::size_t len)
+{
+    std::vector<std::uint8_t> out(len);
+    for (auto &b : out)
+        b = static_cast<std::uint8_t>(rng());
+    return out;
+}
+
+/** A 10.5-page image with data on @p pages and Zero pages elsewhere. */
+std::shared_ptr<const CowImage>
+imageWithPages(std::initializer_list<std::size_t> pages, std::uint8_t salt)
+{
+    CowBytes source(10 * PAGE_SIZE + PAGE_SIZE / 2);
+    for (const std::size_t page : pages) {
+        const auto data = pattern(PAGE_SIZE / 2, salt);
+        source.write(page * PAGE_SIZE, data.data(), data.size());
+    }
+    return source.freeze();
+}
+
+/** @p bytes must be indistinguishable from a fresh CowBytes that
+ * adopted @p image: bytes, page states and contains() answers. */
+void
+expectLikeFreshAdopt(const CowBytes &bytes,
+                     const std::shared_ptr<const CowImage> &image,
+                     const std::vector<std::vector<std::uint8_t>> &needles,
+                     const std::string &what)
+{
+    CowBytes fresh(bytes.size());
+    fresh.adopt(image);
+    EXPECT_TRUE(readAll(bytes) == readAll(fresh)) << what;
+    EXPECT_EQ(bytes.privatePages(), 0u) << what;
+    for (std::size_t page = 0; page < bytes.pageCount(); ++page)
+        EXPECT_EQ(bytes.pageIsPrivate(page), fresh.pageIsPrivate(page))
+            << what << ": page " << page;
+    for (std::size_t i = 0; i < needles.size(); ++i)
+        EXPECT_EQ(bytes.contains(needles[i]), fresh.contains(needles[i]))
+            << what << ": needle " << i;
+}
+
+} // namespace
+
+TEST(CowBytes, ReadoptOfSameImageMatchesFreshAdopt)
+{
+    const auto imageA = imageWithPages({1, 2, 5, 10}, 0x21);
+    const auto imageB = imageWithPages({0, 5, 9}, 0x42);
+    std::mt19937_64 rng(5);
+    CowBytes bytes(imageA->size());
+    bytes.adopt(imageA);
+
+    // Needles: image content and every dirt pattern written below;
+    // none is all-zero or longer than a page, so contains() never
+    // materializes the array under test.
+    std::vector<std::vector<std::uint8_t>> needles = {
+        pattern(32, 0x21), pattern(PAGE_SIZE / 2, 0x42)};
+    const auto dirty = [&] {
+        for (int i = 0; i < 6; ++i) {
+            auto dirt = randomBytes(rng, 8 + rng() % (2 * PAGE_SIZE));
+            const std::size_t offset = rng() % (bytes.size() - dirt.size());
+            bytes.write(offset, dirt.data(), dirt.size());
+            dirt.resize(std::min<std::size_t>(dirt.size(), 40));
+            needles.push_back(std::move(dirt));
+        }
+    };
+
+    for (int round = 0; round < 24; ++round) {
+        const std::string what = "round " + std::to_string(round);
+        switch (round % 4) {
+        case 0: // plain writes: the journaled path
+            dirty();
+            break;
+        case 1: // materialized: privatized behind the journal's back
+            dirty();
+            bytes.contiguous()[rng() % bytes.size()] ^= 0x5a;
+            break;
+        case 2: // zeroed: drops the image binding
+            dirty();
+            bytes.zeroAll();
+            break;
+        case 3: // nothing written at all
+            break;
+        }
+        // Every third round detours through the other image first.
+        if (round % 3 == 2) {
+            bytes.adopt(imageB);
+            expectLikeFreshAdopt(bytes, imageB, needles, what + " (B)");
+            dirty();
+        }
+        bytes.adopt(imageA);
+        expectLikeFreshAdopt(bytes, imageA, needles, what + " (A)");
+    }
+}
+
+TEST(CowBytes, DramReadoptAfterPowerLossMatchesFreshAdopt)
+{
+    constexpr std::size_t size = 64 * PAGE_SIZE;
+    Dram source(size);
+    const auto secret = pattern(3 * PAGE_SIZE, 0x6b);
+    source.busWrite(7 * PAGE_SIZE, secret.data(), secret.size());
+    const auto imageA = source.snapshotImage();
+    source.busWrite(40 * PAGE_SIZE, secret.data(), secret.size());
+    const auto imageB = source.snapshotImage();
+    // Straddles a page seam inside the secret.
+    const std::span<const std::uint8_t> seamNeedle =
+        std::span(secret).subspan(PAGE_SIZE - 16, 48);
+
+    const auto dump = [](Dram &dram) {
+        std::vector<std::uint8_t> out(dram.size());
+        dram.busRead(0, out.data(), out.size());
+        return out;
+    };
+    Rng rng(3);
+    Dram dram(size);
+    for (int round = 0; round < 6; ++round) {
+        const std::string what = "round " + std::to_string(round);
+        const auto &image = round % 2 == 0 ? imageA : imageB;
+        dram.adoptImage(image);
+        const std::uint8_t dirt[3] = {0xd1, 0x7e, 0x55};
+        dram.busWrite(20 * PAGE_SIZE + 5, dirt, sizeof dirt);
+        // Decays (and materializes) every page, then re-adopt.
+        dram.powerLoss(30.0, 20.0, rng);
+        dram.adoptImage(image);
+
+        Dram fresh(size);
+        fresh.adoptImage(image);
+        EXPECT_TRUE(dump(dram) == dump(fresh)) << what;
+        EXPECT_EQ(dram.dirtyPages(), 0u) << what;
+        EXPECT_TRUE(dram.contains(seamNeedle)) << what;
+        EXPECT_FALSE(dram.contains(dirt)) << what;
+    }
 }
 
 TEST(CowBytesDeath, AdoptRejectsSizeMismatch)

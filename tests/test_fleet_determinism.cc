@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
+#include "core/device.hh"
+#include "fleet/device_runner.hh"
 #include "fleet/fleet.hh"
 #include "fleet/scenario.hh"
+#include "fleet/shard.hh"
 
 using namespace sentry;
 using namespace sentry::fleet;
@@ -126,4 +131,59 @@ TEST_F(FleetDeterminism, DifferentSeedsDiverge)
     ASSERT_NE(hashA, nullptr);
     ASSERT_NE(hashB, nullptr);
     EXPECT_NE(hashA->u, hashB->u);
+}
+
+TEST_F(FleetDeterminism, RecycledDeviceAcrossTemplatesMatchesFreshPool)
+{
+    // One worker's pool re-forks its resident device from the same
+    // template (the journaled incremental restore) and switches
+    // between templates of the same platform (the full restore):
+    // fleet-scale under two fleet seeds, interactive-day, and
+    // fleet-scale from a warmed template.
+    const Scenario scale = builtinScenario("fleet-scale");
+    const Scenario day = builtinScenario("interactive-day");
+    struct Template
+    {
+        const Scenario *scenario;
+        FleetOptions options;
+    };
+    std::vector<Template> templates;
+    const std::pair<const Scenario *, std::uint64_t> sources[] = {
+        {&scale, 11}, {&scale, 12}, {&day, 11}};
+    for (const auto &[scenario, seed] : sources) {
+        FleetOptions options = makeOptions(1, 1, seed);
+        options.spawnMode = SpawnMode::Snapshot;
+        options.templateSnapshot = makeFleetTemplate(*scenario, options);
+        templates.push_back({scenario, options});
+    }
+
+    {
+        // A warmed template: the state a pool device is left in after
+        // a whole interactive-day run. Its L2 differs from a fresh
+        // boot's in sets a fleet-scale device never touches, so a
+        // partial restore across templates would leave stale lines.
+        FleetOptions options = templates[2].options;
+        DevicePool warm;
+        const DeviceResult warmup = runDevice(day, options, 0, &warm);
+        ASSERT_TRUE(warmup.ok) << warmup.error;
+        options.templateSnapshot = warm.device->snapshot();
+        templates.push_back({&scale, options});
+    }
+
+    const unsigned order[] = {0, 0, 0, 1, 1, 0, 2, 2, 0,
+                              3, 3, 0, 1, 2, 3, 0, 0};
+    DevicePool pool;
+    for (unsigned i = 0; i < std::size(order); ++i) {
+        const Template &t = templates[order[i]];
+        const DeviceResult recycled =
+            runDevice(*t.scenario, t.options, i, &pool);
+        DevicePool freshPool;
+        const DeviceResult fresh =
+            runDevice(*t.scenario, t.options, i, &freshPool);
+        ASSERT_TRUE(fresh.ok) << fresh.error;
+        ASSERT_NE(pool.device, nullptr);
+        EXPECT_EQ(deviceDigest(recycled), deviceDigest(fresh))
+            << "device " << i << " (template " << order[i] << ")";
+        EXPECT_EQ(recycled.simCycles, fresh.simCycles) << "device " << i;
+    }
 }

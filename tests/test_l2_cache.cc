@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -412,4 +413,139 @@ TEST_F(L2DirtyMaskFixture, DirtyMaskRidesForkState)
     other.cleanAllMasked();
     EXPECT_EQ(log.events, expected);
     EXPECT_TRUE(referenceClean(other).empty());
+}
+
+namespace
+{
+
+/** Field-by-field equality of two captured states; capture ids are
+ * not state and differ by design. */
+void
+expectSameState(const L2Cache::ForkState &got,
+                const L2Cache::ForkState &want, const std::string &what)
+{
+    ASSERT_EQ(got.lines.size(), want.lines.size()) << what;
+    for (std::size_t i = 0; i < got.lines.size(); ++i) {
+        ASSERT_TRUE(got.lines[i].tag == want.lines[i].tag &&
+                    got.lines[i].valid == want.lines[i].valid &&
+                    got.lines[i].dirty == want.lines[i].dirty)
+            << what << ": line " << i;
+    }
+    // Per-set arrays compared as bools: a failure must not print them.
+    EXPECT_TRUE(got.data == want.data) << what << ": payload";
+    EXPECT_TRUE(got.rr == want.rr) << what << ": rr";
+    EXPECT_TRUE(got.mru == want.mru) << what << ": mru";
+    EXPECT_TRUE(got.dirtyWays == want.dirtyWays) << what << ": dirtyWays";
+    EXPECT_EQ(got.lockdownMask, want.lockdownMask) << what;
+    EXPECT_EQ(got.flushWayMask, want.flushWayMask) << what;
+    EXPECT_EQ(got.stats.hits, want.stats.hits) << what;
+    EXPECT_EQ(got.stats.misses, want.stats.misses) << what;
+    EXPECT_EQ(got.stats.fills, want.stats.fills) << what;
+    EXPECT_EQ(got.stats.writebacks, want.stats.writebacks) << what;
+    EXPECT_EQ(got.stats.uncachedAccesses, want.stats.uncachedAccesses)
+        << what;
+}
+
+} // namespace
+
+TEST_F(L2DirtyMaskFixture, RepeatedRestoreMatchesFullRestore)
+{
+    std::mt19937_64 rng(23);
+    dirtyEveryKindOfWay(rng); // ways 0-1 locked and flush-masked
+    const L2Cache::ForkState fsA = l2.forkState();
+    randomTraffic(rng, 3000);
+    l2.glitchLockdownBits(0x02);
+    const L2Cache::ForkState fsB = l2.forkState();
+    ASSERT_NE(fsA.id, 0u);
+    ASSERT_NE(fsA.id, fsB.id);
+
+    // The reference: a fresh cache's (necessarily full) restore.
+    const auto fullRestore = [&](const L2Cache::ForkState &fs) {
+        L2Cache fresh(clock, bus, tz, DRAM_BASE, dram.size(), 1 * MiB, 8);
+        fresh.restoreForkState(fs);
+        return fresh.forkState();
+    };
+    const L2Cache::ForkState refA = fullRestore(fsA);
+    const L2Cache::ForkState refB = fullRestore(fsB);
+
+    // Addresses of the lines dirty in fsA, for fast-path writes that
+    // must not escape the journal although they set no dirty bit.
+    std::vector<PhysAddr> dirtyInA;
+    for (std::size_t set = 0; set < l2.numSets(); ++set)
+        for (unsigned way = 0; way < l2.ways(); ++way) {
+            const L2Line &line = fsA.lines[set * l2.ways() + way];
+            if (line.valid && line.dirty)
+                dirtyInA.push_back((line.tag * l2.numSets() + set) *
+                                   CACHE_LINE_SIZE);
+        }
+    ASSERT_FALSE(dirtyInA.empty());
+
+    // Each episode starts from a restored fsA and is undone by
+    // re-restoring fsA, the journaled path. Every third episode then
+    // detours through fsB, whose restores must take the full copy.
+    const auto fastWritesToDirtyLines = [&] {
+        for (int i = 0; i < 4; ++i) {
+            const PhysAddr addr =
+                dirtyInA[rng() % dirtyInA.size()] + rng() % CACHE_LINE_SIZE;
+            L2LineId id;
+            ASSERT_NE(l2.probeLine(addr, id), nullptr);
+            l2.linePayloadForWrite(id)[addr % CACHE_LINE_SIZE] ^=
+                static_cast<std::uint8_t>(1 + rng() % 255);
+        }
+    };
+    const auto check = [&](const L2Cache::ForkState &fs,
+                           const std::string &what) {
+        l2.restoreForkState(fs);
+        expectSameState(l2.forkState(), &fs == &fsA ? refA : refB, what);
+    };
+    l2.restoreForkState(fsA);
+    constexpr int kEpisodes = 10;
+    for (int round = 0; round < 3 * kEpisodes; ++round) {
+        const std::string what = "round " + std::to_string(round);
+        switch (round % kEpisodes) {
+        case 0: // nothing but fast-path writes to already-dirty lines
+            fastWritesToDirtyLines();
+            break;
+        case 1: // a short burst touching a handful of sets
+            randomTraffic(rng, 1 + static_cast<int>(rng() % 200));
+            break;
+        case 2:
+            l2.cleanRange(dirtyInA[rng() % dirtyInA.size()],
+                          16 * CACHE_LINE_SIZE);
+            l2.invalidateRange(dirtyInA[rng() % dirtyInA.size()],
+                               16 * CACHE_LINE_SIZE);
+            break;
+        case 3:
+            l2.flushAllMasked();
+            break;
+        case 4:
+            l2.cleanAllMasked();
+            break;
+        case 5:
+            l2.rawFlushAll();
+            break;
+        case 6:
+            l2.glitchLockdownBits(0x01);
+            l2.setFlushWayMask(0);
+            randomTraffic(rng, 50);
+            break;
+        case 7:
+            l2.resetAndZero();
+            break;
+        case 8: // nothing changed at all
+            break;
+        case 9:
+            randomTraffic(rng, 5000);
+            break;
+        }
+        check(fsA, what + " (same state)");
+        if (round % 3 == 2) {
+            fastWritesToDirtyLines();
+            check(fsB, what + " (other state)");
+            randomTraffic(rng, 100);
+            check(fsB, what + " (other state, again)");
+            randomTraffic(rng, 100);
+            check(fsA, what + " (back to the first state)");
+        }
+    }
 }

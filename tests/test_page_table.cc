@@ -60,10 +60,11 @@ TEST(PageTable, ForEachVisitsInOrder)
 TEST(AddressSpace, VmasAreDisjointWithGuardGaps)
 {
     AddressSpace space;
-    const Vma &a =
+    // By value: the second addVma() may reallocate the VMA list.
+    const Vma a =
         space.addVma("heap", VmaType::Heap, 8 * PAGE_SIZE,
                      SharePolicy::Private);
-    const Vma &b =
+    const Vma b =
         space.addVma("dma", VmaType::DmaRegion, 4 * PAGE_SIZE,
                      SharePolicy::Private);
 
