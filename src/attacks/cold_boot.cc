@@ -51,9 +51,10 @@ ColdBootAttack::run(hw::Soc &soc, std::span<const std::uint8_t> secret,
     result.attack = std::string("cold-boot/") + coldBootVariantName(variant_);
     result.target = target;
 
-    // The attacker-controlled boot dumps every physical byte.
-    const bool inDram = containsBytes(soc.dramRaw(), secret);
-    const bool inIram = containsBytes(soc.iramRaw(), secret);
+    // The attacker-controlled boot dumps every physical byte; the
+    // cells are searched in place, page run by page run.
+    const bool inDram = soc.dram().contains(secret);
+    const bool inIram = soc.iram().contains(secret);
     result.secretRecovered = inDram || inIram;
     if (inDram)
         result.notes.push_back("secret found in DRAM dump");

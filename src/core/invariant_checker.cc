@@ -37,38 +37,58 @@ InvariantChecker::checkLive()
     return outcome;
 }
 
+namespace
+{
+
+/** Tally every marker against @p found, the one dump search. */
+template <typename Found>
 DumpLeaks
-InvariantChecker::checkDumps(std::span<const std::uint8_t> dram_dump,
-                             std::span<const std::uint8_t> iram_dump) const
+tallyLeaks(const std::vector<SecretMarker> &markers, Found &&found)
 {
     DumpLeaks leaks;
-    for (const SecretMarker &marker : markers_) {
-        const bool found = containsBytes(dram_dump, marker.bytes) ||
-                           containsBytes(iram_dump, marker.bytes);
+    for (const SecretMarker &marker : markers) {
+        const bool hit = found(std::span<const std::uint8_t>(marker.bytes));
         if (marker.sensitive) {
             ++leaks.sensitiveProbed;
-            if (found) {
+            if (hit) {
                 ++leaks.sensitiveLeaked;
                 if (leaks.firstLeakedOwner.empty())
                     leaks.firstLeakedOwner = marker.owner;
             }
-        } else if (found) {
+        } else if (hit) {
             ++leaks.nonSensitiveLeaks;
         }
     }
     return leaks;
 }
 
+} // namespace
+
+DumpLeaks
+InvariantChecker::checkDumps(std::span<const std::uint8_t> dram_dump,
+                             std::span<const std::uint8_t> iram_dump) const
+{
+    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> bytes) {
+        return containsBytes(dram_dump, bytes) ||
+               containsBytes(iram_dump, bytes);
+    });
+}
+
+DumpLeaks
+InvariantChecker::checkDumps(const hw::Soc &soc) const
+{
+    return tallyLeaks(markers_, [&](std::span<const std::uint8_t> bytes) {
+        return soc.dram().contains(bytes) || soc.iram().contains(bytes);
+    });
+}
+
 CheckOutcome
 InvariantChecker::checkIramZeroed(const hw::Soc &soc) const
 {
-    const auto iram = soc.iramRaw();
-    if (allZero(iram))
+    // Page by page: Zero pages are skipped unread.
+    const std::size_t i = soc.iram().firstNonZeroCell();
+    if (i == soc.iramSize())
         return CheckOutcome{};
-    // Failure path only: locate the first offending byte for the report.
-    std::size_t i = 0;
-    while (i < iram.size() && iram[i] == 0)
-        ++i;
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "iRAM byte 0x%zx non-zero after power event "

@@ -95,6 +95,14 @@ class InvariantChecker
     DumpLeaks checkDumps(std::span<const std::uint8_t> dram_dump,
                          std::span<const std::uint8_t> iram_dump) const;
 
+    /**
+     * The same check with @p soc's live DRAM and iRAM cells as the
+     * image: what a cold-boot or power-glitch readout sees right after
+     * the reset. Scans page runs in place (Dram/Iram::contains()), so
+     * no dump copy is made and memory stays copy-on-write.
+     */
+    DumpLeaks checkDumps(const hw::Soc &soc) const;
+
     /** Assert the post-power-event firmware invariant: iRAM all-zero. */
     CheckOutcome checkIramZeroed(const hw::Soc &soc) const;
 

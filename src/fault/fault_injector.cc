@@ -89,10 +89,11 @@ FaultInjector::record(unsigned index, std::uint64_t ordinal)
 void
 FaultInjector::fireDramBitFlip(const FaultSpec &spec, unsigned index)
 {
-    auto raw = soc_->dram().raw();
+    // Cell flips are copy-on-write: only the struck pages privatize.
+    hw::Dram &dram = soc_->dram();
     for (unsigned i = 0; i < spec.count; ++i) {
         const std::uint64_t r = draw(index);
-        raw[r % raw.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        dram.flipCellBit(r % dram.size(), static_cast<unsigned>((r >> 56) & 7));
         ++stats_.bitFlips;
     }
 }
@@ -100,10 +101,10 @@ FaultInjector::fireDramBitFlip(const FaultSpec &spec, unsigned index)
 void
 FaultInjector::fireIramBitFlip(const FaultSpec &spec, unsigned index)
 {
-    auto raw = soc_->iram().raw();
+    hw::Iram &iram = soc_->iram();
     for (unsigned i = 0; i < spec.count; ++i) {
         const std::uint64_t r = draw(index);
-        raw[r % raw.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+        iram.flipCellBit(r % iram.size(), static_cast<unsigned>((r >> 56) & 7));
         ++stats_.bitFlips;
     }
 }

@@ -288,8 +288,7 @@ class Runner
         // device was locked; an awake device legitimately holds
         // decrypted pages (the paper's threat model).
         if (wasLocked) {
-            const core::DumpLeaks leaks =
-                checker_->checkDumps(soc.dramRaw(), soc.iramRaw());
+            const core::DumpLeaks leaks = checker_->checkDumps(soc);
             result.sensitiveSecretsProbed += leaks.sensitiveProbed;
             result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
             result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;
@@ -543,13 +542,17 @@ class Runner
             return;
         }
 
-        std::vector<std::uint8_t> dramDump, iramDump;
-        bool haveDumps = false;
-        if (step.attack == AttackKind::Dma) {
+        // What the attacker's memory image yields: DMA dumps are
+        // point-in-time copies; a cold-boot readout is the live cells.
+        std::optional<core::DumpLeaks> dumpLeaks;
+        const auto dmaDumpLeaks = [&] {
             attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramSize());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramSize());
-            haveDumps = true;
+            return checker_->checkDumps(
+                dma.dumpRange(soc, DRAM_BASE, soc.dramSize()),
+                dma.dumpRange(soc, IRAM_BASE, soc.iramSize()));
+        };
+        if (step.attack == AttackKind::Dma) {
+            dumpLeaks = dmaDumpLeaks();
         } else if (step.attack == AttackKind::BusMonitor) {
             // A DDR probe watches while the system generates traffic:
             // a cache clean (which honours the flush mask) plus a full
@@ -557,10 +560,7 @@ class Runner
             attacks::BusMonitorAttack probe(soc);
             probe.startCapture();
             soc.l2().cleanAllMasked();
-            attacks::DmaAttack dma;
-            dramDump = dma.dumpRange(soc, DRAM_BASE, soc.dramSize());
-            iramDump = dma.dumpRange(soc, IRAM_BASE, soc.iramSize());
-            haveDumps = true;
+            dumpLeaks = dmaDumpLeaks();
             for (const core::SecretMarker &marker : checker_->markers()) {
                 if (!marker.sensitive)
                     continue;
@@ -639,17 +639,12 @@ class Runner
                 variant, step.frozen ? -18.0 : 22.0);
             attack.performReset(soc);
             coldBooted_ = true;
-            const auto dram = soc.dramRaw();
-            const auto iram = soc.iramRaw();
-            dramDump.assign(dram.begin(), dram.end());
-            iramDump.assign(iram.begin(), iram.end());
-            haveDumps = true;
+            dumpLeaks = checker_->checkDumps(soc);
         }
 
-        if (!haveDumps)
+        if (!dumpLeaks)
             return;
-        const core::DumpLeaks leaks =
-            checker_->checkDumps(dramDump, iramDump);
+        const core::DumpLeaks &leaks = *dumpLeaks;
         result.sensitiveSecretsProbed += leaks.sensitiveProbed;
         result.sensitiveSecretsLeaked += leaks.sensitiveLeaked;
         result.nonSensitiveLeaks += leaks.nonSensitiveLeaks;

@@ -6,7 +6,8 @@
  * step, attacks grep whole DMA and cold-boot dumps, and the Table 2
  * remanence methodology counts aligned 8-byte pattern strides over
  * full memory images — these scans are a large share of bench_fleet's
- * host wall once AES is hardware-accelerated.
+ * host wall once AES is hardware-accelerated. Every power loss also
+ * blends each DRAM page against its remanence lanes (decayBlend).
  */
 
 #include "host/kernels_detail.hh"
@@ -129,6 +130,45 @@ avx2AllZero(const std::uint8_t *buf, std::size_t len)
     return tail == 0;
 }
 
+/** 32 bytes per step: two loads of sixteen 16-bit lanes, an unsigned
+ *  lane >= threshold compare, packed to one byte mask (packs
+ *  interleaves the 128-bit halves, the permute restores byte order),
+ *  then a byte blend of ground over src. */
+__attribute__((target("avx2"))) void
+avx2DecayBlend(std::uint8_t *dst, const std::uint8_t *src, std::size_t len,
+               const std::uint64_t *lanes, std::uint32_t threshold,
+               std::uint8_t ground)
+{
+    std::size_t i = 0;
+    if (threshold <= 0xffff) {
+        const auto *lane16 = reinterpret_cast<const std::uint8_t *>(lanes);
+        const __m256i thr =
+            _mm256_set1_epi16(static_cast<short>(threshold));
+        const __m256i fill = _mm256_set1_epi8(static_cast<char>(ground));
+        for (; i + 32 <= len; i += 32) {
+            const __m256i lo = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(lane16 + 2 * i));
+            const __m256i hi = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(lane16 + 2 * i + 32));
+            const __m256i decayLo =
+                _mm256_cmpeq_epi16(_mm256_max_epu16(lo, thr), lo);
+            const __m256i decayHi =
+                _mm256_cmpeq_epi16(_mm256_max_epu16(hi, thr), hi);
+            const __m256i mask = _mm256_permute4x64_epi64(
+                _mm256_packs_epi16(decayLo, decayHi), 0xd8);
+            const __m256i cells = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(src + i));
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
+                                _mm256_blendv_epi8(cells, fill, mask));
+        }
+    }
+    for (; i < len; ++i) {
+        const auto lane = static_cast<std::uint32_t>(
+            (lanes[i / 4] >> (16 * (i % 4))) & 0xffff);
+        dst[i] = lane >= threshold ? ground : src[i];
+    }
+}
+
 } // namespace
 
 bool
@@ -137,7 +177,7 @@ x86BytesKernel(BytesKernel &out, const CpuFeatures &features)
     if (!features.avx2)
         return false;
     out = BytesKernel{"avx2", avx2CountPattern, avx2ContainsBytes,
-                      avx2AllZero};
+                      avx2AllZero, avx2DecayBlend};
     return true;
 }
 

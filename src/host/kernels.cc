@@ -116,6 +116,19 @@ portableAllZero(const std::uint8_t *buf, std::size_t len)
     return acc == 0;
 }
 
+void
+portableDecayBlend(std::uint8_t *dst, const std::uint8_t *src,
+                   std::size_t len, const std::uint64_t *lanes,
+                   std::uint32_t threshold, std::uint8_t ground)
+{
+    for (std::size_t i = 0; i < len; ++i) {
+        const auto lane =
+            static_cast<std::uint32_t>((lanes[i / 4] >> (16 * (i % 4))) &
+                                       0xffff);
+        dst[i] = lane >= threshold ? ground : src[i];
+    }
+}
+
 constexpr AesKernel PORTABLE_AES = {
     "portable",        portableEncryptBlock, portableDecryptBlock,
     portableCbcEncrypt, portableCbcDecrypt,
@@ -126,6 +139,7 @@ constexpr BytesKernel PORTABLE_BYTES = {
     portableCountPattern,
     portableContainsBytes,
     portableAllZero,
+    portableDecayBlend,
 };
 
 // ---------------------------------------------------------------------
@@ -269,6 +283,29 @@ verifyBytesKernel(const BytesKernel &candidate)
             return false;
         zeros[flip] = 0;
     }
+
+    // decayBlend: in place and out of place, at thresholds that keep
+    // every byte, none, and a mix, over a full page and a ragged tail.
+    std::vector<std::uint64_t> lanes(PAGE_SIZE / 4);
+    fillDeterministic(reinterpret_cast<std::uint8_t *>(lanes.data()),
+                      PAGE_SIZE * 2, 0xdeca7);
+    for (const std::uint32_t threshold :
+         {0u, 1u, 0x8000u, 0xfff0u, 0xffffu, 0x10000u}) {
+        for (const std::size_t len : {std::size_t{PAGE_SIZE},
+                                      std::size_t{PAGE_SIZE - 5},
+                                      std::size_t{31}}) {
+            std::vector<std::uint8_t> want(len), got(len), inPlace;
+            PORTABLE_BYTES.decayBlend(want.data(), hay.data(), len,
+                                      lanes.data(), threshold, 0xff);
+            candidate.decayBlend(got.data(), hay.data(), len, lanes.data(),
+                                 threshold, 0xff);
+            inPlace.assign(hay.begin(), hay.begin() + len);
+            candidate.decayBlend(inPlace.data(), inPlace.data(), len,
+                                 lanes.data(), threshold, 0xff);
+            if (got != want || inPlace != want)
+                return false;
+        }
+    }
     return true;
 }
 
@@ -342,7 +379,7 @@ hostInfoString()
            "audited tier)";
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
-    out += "  (fleet audit scans, remanence pattern counts)";
+    out += "  (fleet audit scans, remanence pattern counts and decay)";
     out += "\ntrace emission: batched per bus burst (sync subscribers "
            "dispatch inline)";
     out += "\n";

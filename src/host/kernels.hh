@@ -77,6 +77,15 @@ struct BytesKernel
                           const std::uint8_t *needle, std::size_t needleLen);
     /** @return true when every byte of @p buf is zero. */
     bool (*allZero)(const std::uint8_t *buf, std::size_t len);
+    /**
+     * Remanence decay of one page: dst[i] = lane(i) >= threshold ?
+     * ground : src[i], where lane(i) is bits [16 * (i % 4), +16) of
+     * lanes[i / 4]. @p src may equal @p dst (decay in place) or not
+     * (privatize a shared page and decay it in one pass).
+     */
+    void (*decayBlend)(std::uint8_t *dst, const std::uint8_t *src,
+                       std::size_t len, const std::uint64_t *lanes,
+                       std::uint32_t threshold, std::uint8_t ground);
 };
 
 /** The full registry: one entry per host hot path family. */

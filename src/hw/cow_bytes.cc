@@ -5,6 +5,7 @@
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
+#include "host/kernels.hh"
 
 namespace sentry::hw
 {
@@ -29,12 +30,56 @@ CowBytes::CowBytes(std::size_t size)
 void
 CowBytes::privatize(std::size_t page)
 {
-    std::uint8_t *data = localPage(page);
-    std::memcpy(data, readPtr_[page], PAGE_SIZE);
-    readPtr_[page] = data;
+    std::memcpy(localPage(page), readPtr_[page], PAGE_SIZE);
+    claim(page);
+}
+
+void
+CowBytes::claim(std::size_t page)
+{
+    readPtr_[page] = localPage(page);
     private_[page] = 1;
     ++privateCount_;
     privatized_.push_back(page);
+}
+
+void
+CowBytes::flipBit(std::size_t offset, unsigned bit)
+{
+    std::uint8_t *cell = privatePage(offset / PAGE_SIZE) + offset % PAGE_SIZE;
+    *cell = static_cast<std::uint8_t>(*cell ^ (1u << bit));
+}
+
+std::size_t
+CowBytes::firstNonZero() const
+{
+    for (std::size_t page = 0; page < nPages_; ++page) {
+        if (pageIsZero(page))
+            continue;
+        const std::size_t begin = page * PAGE_SIZE;
+        const std::uint8_t *data = readPtr_[page];
+        const std::size_t len = std::min(PAGE_SIZE, size_ - begin);
+        if (allZero({data, len}))
+            continue;
+        std::size_t i = 0;
+        while (data[i] == 0)
+            ++i;
+        return begin + i;
+    }
+    return size_;
+}
+
+void
+CowBytes::decayPage(std::size_t page, const std::uint64_t *lanes,
+                    std::uint32_t threshold, std::uint8_t ground)
+{
+    if (ground == 0x00 && pageIsZero(page))
+        return;
+    const std::size_t len = std::min(PAGE_SIZE, size_ - page * PAGE_SIZE);
+    host::kernels().bytes.decayBlend(localPage(page), readPtr_[page], len,
+                                     lanes, threshold, ground);
+    if (!private_[page])
+        claim(page);
 }
 
 void

@@ -20,8 +20,10 @@
  *
  * Scanners use `contains()`: it walks page runs in place, skips Zero
  * runs and never changes a page state, so its cost follows the pages a
- * fork owns rather than the array size. `contiguous()` (behind
- * `Dram::raw()` / `Iram::raw()`) is for dumps and tests only.
+ * fork owns rather than the array size. Power-loss decay
+ * (`decayPage()`) and bit flips (`flipBit()`) privatize only the pages
+ * they change. `contiguous()` (behind `Dram::raw()` / `Iram::raw()`)
+ * is the flat reference for tests and the benchmark replay.
  *
  * Span-stability rule (the `raw()` contract for Dram/Iram): the
  * contiguous span returned by `contiguous()` materializes every page
@@ -139,6 +141,24 @@ class CowBytes
      */
     bool contains(std::span<const std::uint8_t> needle) const;
 
+    /** Invert bit @p bit of the byte at @p offset (copy-on-write, one
+     * page privatized at most). Caller checks bounds. */
+    void flipBit(std::size_t offset, unsigned bit);
+
+    /** @return the offset of the first non-zero byte, or size() when
+     * every byte is zero. Zero pages are skipped unread. */
+    std::size_t firstNonZero() const;
+
+    /**
+     * Remanence-decay page @p page through host decayBlend with one
+     * page of pre-drawn @p lanes (see RemanenceModel::decay). A Zero
+     * page decaying to ground 0x00 is unchanged and stays Zero; any
+     * other page not yet Private is privatized and decayed in the same
+     * pass, and journaled like a write.
+     */
+    void decayPage(std::size_t page, const std::uint64_t *lanes,
+                   std::uint32_t threshold, std::uint8_t ground);
+
     /** Publish the current contents as an immutable image. Does not
      * change this instance's page states. All-zero pages are published
      * as Zero (nullptr), so forks of the image can skip them. */
@@ -215,6 +235,10 @@ class CowBytes
      * the inlined write path stays small. */
     void privatize(std::size_t page);
 
+    /** Mark page @p page Private, reading from its local storage, and
+     * journal it. The caller has filled that storage. */
+    void claim(std::size_t page);
+
     std::size_t size_;
     std::size_t nPages_;
     /** Private storage, nPages_ * PAGE_SIZE bytes. Deliberately left
@@ -226,8 +250,8 @@ class CowBytes
     mutable std::vector<const std::uint8_t *> readPtr_;
     mutable std::vector<std::uint8_t> private_;
     mutable std::size_t privateCount_ = 0;
-    /** Pages privatePage() privatized since the last adopt(), in
-     * order. Complete only while its length equals privateCount_:
+    /** Pages claim() privatized since the last adopt() (writes, bit
+     * flips, decay), in order. Complete only while its length equals privateCount_:
      * contiguous() privatizes without journaling. */
     std::vector<std::size_t> privatized_;
     std::shared_ptr<const CowImage> base_;

@@ -60,9 +60,18 @@ Dram::writeCells(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 }
 
 void
+Dram::flipCellBit(PhysAddr offset, unsigned bit)
+{
+    if (offset >= data_.size())
+        panic("DRAM cell flip out of range: 0x%llx",
+              static_cast<unsigned long long>(offset));
+    data_.flipBit(offset, bit);
+}
+
+void
 Dram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    remanence_.decay(data_.contiguous(), off_seconds, celsius, rng);
+    remanence_.decay(data_, off_seconds, celsius, rng);
     // Power loss drains every cell: any accumulated activation stress
     // is gone along with the charge.
     activations_.clear();
@@ -134,10 +143,7 @@ Dram::disturbAdjacentRows(PhysAddr aggressor_offset, Rng &rng,
                 continue;
             const unsigned bit =
                 static_cast<unsigned>(rng.below(8));
-            std::uint8_t byte = 0;
-            data_.read(site, &byte, 1);
-            byte = static_cast<std::uint8_t>(byte ^ (1u << bit));
-            data_.write(site, &byte, 1);
+            data_.flipBit(site, bit);
             flips.push_back(FlippedBit{site, bit});
         }
     }

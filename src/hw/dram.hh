@@ -109,10 +109,12 @@ class Dram : public BusTarget
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct (simulation-level) view of the cell array, for memory
-     * dumps and test assertions only; not charged to the simulated
+     * Direct (simulation-level) view of the cell array: the flat
+     * reference tests compare the COW paths against, and the
+     * benchmark replay's dump source. Not charged to the simulated
      * clock and not visible on the bus. It materializes every page, so
-     * scanners use contains() instead.
+     * simulator code uses contains(), writeCells() and flipCellBit()
+     * instead.
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
@@ -138,6 +140,11 @@ class Dram : public BusTarget
     void writeCells(PhysAddr offset, const std::uint8_t *buf,
                     std::size_t len);
 
+    /** Simulation-level single-event upset: invert bit @p bit of the
+     * cell at @p offset copy-on-write, untraced (a fault, not a bus
+     * access). */
+    void flipCellBit(PhysAddr offset, unsigned bit);
+
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const
     {
@@ -158,7 +165,8 @@ class Dram : public BusTarget
      * fork's dirty-page count). */
     std::size_t dirtyPages() const { return data_.privatePages(); }
 
-    /** Apply cell decay for a power loss of @p off_seconds. */
+    /** Apply cell decay for a power loss of @p off_seconds, page by
+     * page: the array stays copy-on-write (RemanenceModel::decay). */
     void powerLoss(double off_seconds, double celsius, Rng &rng);
 
     /** Wire (or with nullptr unwire) the owning Soc's trace engine. */

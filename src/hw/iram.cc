@@ -1,6 +1,5 @@
 #include "hw/iram.hh"
 
-
 #include "common/logging.hh"
 
 namespace sentry::hw
@@ -54,9 +53,16 @@ Iram::write(PhysAddr offset, const std::uint8_t *buf, std::size_t len)
 }
 
 void
+Iram::flipCellBit(PhysAddr offset, unsigned bit)
+{
+    checkRange(offset, 1);
+    data_.flipBit(offset, bit);
+}
+
+void
 Iram::powerLoss(double off_seconds, double celsius, Rng &rng)
 {
-    remanence_.decay(data_.contiguous(), off_seconds, celsius, rng);
+    remanence_.decay(data_, off_seconds, celsius, rng);
 }
 
 void

@@ -48,9 +48,11 @@ class Iram
     std::size_t size() const { return data_.size(); }
 
     /**
-     * Direct simulation-level view, for attack dumps and test
-     * assertions only. It materializes every page, so scanners use
-     * contains() instead.
+     * Direct simulation-level view: the flat reference tests compare
+     * the COW paths against, the benchmark replay's dump source, and
+     * AesOnSoc's cached cell pointer. It materializes every page, so
+     * other simulator code uses contains(), firstNonZeroCell() and
+     * flipCellBit() instead.
      *
      * Invalidation rule: the span materializes the COW backing store
      * and stays valid until the next adoptImage() / Soc::forkFrom().
@@ -66,6 +68,15 @@ class Iram
     {
         return data_.contains(needle);
     }
+
+    /** @return the offset of the first non-zero cell, or size() when
+     * the array is all zero (simulation-level, untraced; Zero pages
+     * cost nothing). */
+    std::size_t firstNonZeroCell() const { return data_.firstNonZero(); }
+
+    /** Simulation-level single-event upset: invert bit @p bit of the
+     * cell at @p offset copy-on-write, untraced. */
+    void flipCellBit(PhysAddr offset, unsigned bit);
 
     /** Publish the cell array as an immutable COW image. */
     std::shared_ptr<const CowImage> snapshotImage() const

@@ -28,6 +28,8 @@
 namespace sentry::hw
 {
 
+class CowBytes;
+
 /** Memory technology being decayed. */
 enum class MemoryTech
 {
@@ -66,10 +68,22 @@ class RemanenceModel
      *
      * Decay is applied at byte granularity with the byte survival
      * probability implied by the bit model; this keeps a 1 GiB decay pass
-     * fast while preserving unit-level survival statistics.
+     * fast while preserving unit-level survival statistics. Each region
+     * draws its ground, then one next64() per four bytes (four 16-bit
+     * survival lanes), and blends through host::kernels().bytes
+     * .decayBlend.
      */
     void decay(std::span<std::uint8_t> memory, double off_seconds,
                double celsius, Rng &rng) const;
+
+    /**
+     * The same decay over a copy-on-write array, page by page: the
+     * same draws and the same output bytes as decaying its flat
+     * contents, but a Zero page whose ground is 0x00 stays Zero and
+     * every other page is privatized and decayed in one pass.
+     */
+    void decay(CowBytes &memory, double off_seconds, double celsius,
+               Rng &rng) const;
 
   private:
     MemoryTech tech_;

@@ -150,13 +150,14 @@ class Soc
      * has one; it sits idle unless the MemShield backend keys it). */
     MemCryptoEngine &memCrypto() { return *memCrypto_; }
 
-    /** Const view of the DRAM cell array (dumps/tests; materializes
-     * every page — use dramSize() for the size, dram().contains() to
-     * search). */
+    /** Const flat view of the DRAM cell array, for test references
+     * and the benchmark replay only: it materializes every page. Use
+     * dramSize() for the size and dram().contains() to search. */
     std::span<const std::uint8_t> dramRaw() const { return dram_.raw(); }
 
-    /** Const view of the iRAM cell array (dumps/tests; materializes
-     * every page — use iramSize() for the size). */
+    /** Const flat view of the iRAM cell array, for test references
+     * and the benchmark replay only: it materializes every page. Use
+     * iramSize() for the size and iram().contains() to search. */
     std::span<const std::uint8_t> iramRaw() const { return iram_.raw(); }
 
     /** @return DRAM capacity in bytes. */

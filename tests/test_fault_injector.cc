@@ -292,3 +292,85 @@ TEST_F(InjectorFixture, ReplayDigestIsBitStable)
     };
     EXPECT_EQ(runOnce(42), runOnce(42));
 }
+
+namespace
+{
+
+/** The flat flip loop FaultInjector ran over Dram::raw() before flips
+ * went through copy-on-write cell writes, with the injector's per-spec
+ * SplitMix64 stream derivation: the reference. */
+void
+referenceDramFlips(std::vector<std::uint8_t> &raw, std::uint64_t seed,
+                   std::size_t spec_index, unsigned count)
+{
+    const auto splitmix = [](std::uint64_t &state) {
+        state += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = state;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+    std::uint64_t state =
+        seed ^ (0x9e3779b97f4a7c15ULL * (spec_index + 1));
+    splitmix(state);
+    for (unsigned i = 0; i < count; ++i) {
+        const std::uint64_t r = splitmix(state);
+        raw[r % raw.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 56) & 7));
+    }
+}
+
+std::vector<std::uint8_t>
+dramCells(Dram &dram)
+{
+    std::vector<std::uint8_t> out(dram.size());
+    dram.busRead(0, out.data(), out.size());
+    return out;
+}
+
+} // namespace
+
+TEST_F(InjectorFixture, DramBitFlipsStayCopyOnWrite)
+{
+    // A forked device: a few written pages, the rest Zero.
+    const std::vector<std::uint8_t> image(3 * PAGE_SIZE + 40, 0x5a);
+    soc.dram().writeCells(PAGE_SIZE * 17 + 8, image.data(), image.size());
+    const SocSnapshot snap = soc.snapshot();
+    Soc device(PlatformConfig::tegra3(4 * MiB));
+    device.forkFrom(snap);
+    ASSERT_EQ(device.dram().dirtyPages(), 0u);
+
+    constexpr unsigned flips = 96;
+    constexpr std::uint64_t seed = 0xf11b;
+    FaultSchedule sched;
+    sched.faults.push_back(makeSpec(FaultKind::BusDelay, 50));
+    sched.faults.push_back(makeSpec(FaultKind::DramBitFlip, 1));
+    sched.faults.back().count = flips;
+    std::vector<std::uint8_t> want = dramCells(device.dram());
+    referenceDramFlips(want, seed, 1, flips);
+
+    FaultInjector injector(sched, seed);
+    injector.arm(device);
+    std::uint8_t line[CACHE_LINE_SIZE];
+    device.bus().read(DRAM_BASE, line, sizeof(line), BusInitiator::Dma);
+    injector.disarm();
+
+    EXPECT_EQ(injector.stats().bitFlips, flips);
+    EXPECT_TRUE(dramCells(device.dram()) == want);
+    EXPECT_GE(device.dram().dirtyPages(), 1u);
+    EXPECT_LE(device.dram().dirtyPages(), flips);
+
+    // Re-forking after the flips restores the image.
+    device.forkFrom(snap);
+    const std::vector<std::uint8_t> fresh = dramCells(soc.dram());
+    EXPECT_EQ(device.dram().dirtyPages(), 0u);
+    EXPECT_TRUE(dramCells(device.dram()) == fresh);
+
+    // A power loss keeps the array copy-on-write too, and re-forking
+    // after it restores the image again.
+    device.powerCycle(0.007);
+    EXPECT_LT(device.dram().dirtyPages(), device.dram().size() / PAGE_SIZE);
+    EXPECT_FALSE(dramCells(device.dram()) == fresh);
+    device.forkFrom(snap);
+    EXPECT_EQ(device.dram().dirtyPages(), 0u);
+    EXPECT_TRUE(dramCells(device.dram()) == fresh);
+}
