@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "apps/cli_args.hh"
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
 #include "fleet/scenario.hh"
@@ -33,7 +35,7 @@ usage()
     std::printf(
         "usage: sentry_fleet [options]\n"
         "  --devices N          fleet size (default: scenario's, else 8)\n"
-        "  --threads N          worker threads (default 1)\n"
+        "  --threads N          worker threads (default 1, at most 256)\n"
         "  --shards N           work shards (default: scenario's, else\n"
         "                       derived from the fleet size)\n"
         "  --scenario NAME|FILE built-in preset or .scn file\n"
@@ -78,6 +80,20 @@ nextArg(int argc, char **argv, int &i, const char *flag)
     return argv[++i];
 }
 
+/** The value of @p flag as a number in [@p lo, @p hi], or a usage error. */
+unsigned long long
+numberArg(int argc, char **argv, int &i, const char *flag,
+          unsigned long long lo, unsigned long long hi)
+{
+    const char *text = nextArg(argc, argv, i, flag);
+    const auto value = apps::parseNumberArg(text, lo, hi);
+    if (!value.has_value())
+        usageError(std::string(flag) + ": '" + text +
+                   "' is not a number in " + std::to_string(lo) + ".." +
+                   std::to_string(hi));
+    return *value;
+}
+
 } // namespace
 
 int
@@ -99,18 +115,19 @@ main(int argc, char **argv)
         const char *arg = argv[i];
         if (std::strcmp(arg, "--devices") == 0) {
             devices = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 1, fleet::MAX_DEVICES));
         } else if (std::strcmp(arg, "--threads") == 0) {
             options.threads = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 1, fleet::MAX_THREADS));
         } else if (std::strcmp(arg, "--shards") == 0) {
             options.shards = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 0, fleet::MAX_SHARDS));
         } else if (std::strcmp(arg, "--scenario") == 0) {
             scenarioName = nextArg(argc, argv, i, arg);
         } else if (std::strcmp(arg, "--seed") == 0) {
-            options.seed =
-                std::strtoull(nextArg(argc, argv, i, arg), nullptr, 0);
+            options.seed = numberArg(
+                argc, argv, i, arg, 0,
+                std::numeric_limits<std::uint64_t>::max());
         } else if (std::strcmp(arg, "--platform") == 0) {
             const std::string name = nextArg(argc, argv, i, arg);
             if (name == "tegra3")
@@ -149,7 +166,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--replay-device") == 0) {
             wantReplay = true;
             replayIndex = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 0, fleet::MAX_DEVICES - 1));
         } else if (std::strcmp(arg, "--list") == 0) {
             for (const std::string &name : fleet::builtinScenarioNames())
                 std::printf("%s\n", name.c_str());

@@ -31,11 +31,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "apps/cli_args.hh"
 #include "common/logging.hh"
 #include "fault/fuzzer.hh"
 #include "fleet/shard.hh"
@@ -52,9 +54,9 @@ usage()
     std::printf(
         "usage: sentry_fuzz [options]\n"
         "  --seed HEX|DEC   campaign seed (default 0x5e47f0220000001)\n"
-        "  --trials N       trials to run (default 8)\n"
-        "  --jobs N         campaign worker threads (default 1; output\n"
-        "                   is identical for any job count)\n"
+        "  --trials N       trials to run (default 8, at most 1048576)\n"
+        "  --jobs N         campaign worker threads (default 1, at most\n"
+        "                   256; output is identical for any job count)\n"
         "  --steps N        approx. scenario steps per trial (default 18)\n"
         "  --schedule FILE  replay a reproducer instead of fuzzing\n"
         "  --repro-dir DIR  where to write reproducers (default '.')\n"
@@ -88,6 +90,20 @@ nextArg(int argc, char **argv, int &i, const char *flag)
     if (i + 1 >= argc)
         usageError(std::string(flag) + " needs a value");
     return argv[++i];
+}
+
+/** The value of @p flag as a number in [@p lo, @p hi], or a usage error. */
+unsigned long long
+numberArg(int argc, char **argv, int &i, const char *flag,
+          unsigned long long lo, unsigned long long hi)
+{
+    const char *text = nextArg(argc, argv, i, flag);
+    const auto value = apps::parseNumberArg(text, lo, hi);
+    if (!value.has_value())
+        usageError(std::string(flag) + ": '" + text +
+                   "' is not a number in " + std::to_string(lo) + ".." +
+                   std::to_string(hi));
+    return *value;
 }
 
 std::string
@@ -154,17 +170,19 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--seed") == 0) {
-            options.seed =
-                std::strtoull(nextArg(argc, argv, i, arg), nullptr, 0);
+            options.seed = numberArg(
+                argc, argv, i, arg, 0,
+                std::numeric_limits<std::uint64_t>::max());
         } else if (std::strcmp(arg, "--trials") == 0) {
             options.trials = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 1, fleet::MAX_DEVICES));
         } else if (std::strcmp(arg, "--jobs") == 0) {
             jobs = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 1, fleet::MAX_THREADS));
         } else if (std::strcmp(arg, "--steps") == 0) {
             options.steps = static_cast<unsigned>(
-                std::strtoul(nextArg(argc, argv, i, arg), nullptr, 0));
+                numberArg(argc, argv, i, arg, 1,
+                          std::numeric_limits<unsigned>::max()));
         } else if (std::strcmp(arg, "--schedule") == 0) {
             schedulePath = nextArg(argc, argv, i, arg);
         } else if (std::strcmp(arg, "--repro-dir") == 0) {
@@ -209,10 +227,6 @@ main(int argc, char **argv)
             usageError(std::string("unknown option '") + arg + "'");
         }
     }
-    if (options.trials == 0 || options.steps == 0)
-        usageError("--trials and --steps must be positive");
-    if (jobs == 0)
-        usageError("--jobs must be positive");
     if (jobs > 1 && !options.traceOutPath.empty())
         usageError("--trace-out needs --jobs 1 (a single trial's "
                    "timeline cannot interleave workers)");

@@ -20,8 +20,7 @@ TraceEngine::subscribe(Subscriber *sub, TraceMask mask)
         }
     }
     entries_.push_back({sub, mask});
-    syncMask_ |= mask;
-    activeMask_ |= mask;
+    recomputeMask();
 }
 
 void
@@ -47,8 +46,7 @@ TraceEngine::subscribeBatched(BatchSubscriber *sub, TraceMask mask)
         }
     }
     batchEntries_.push_back({sub, mask});
-    batchMask_ |= mask;
-    activeMask_ |= mask;
+    recomputeMask();
 }
 
 void
@@ -65,6 +63,24 @@ TraceEngine::unsubscribeBatched(BatchSubscriber *sub)
 }
 
 void
+TraceEngine::attachCounters(TraceCounters *counters)
+{
+    if (counting_ != nullptr && counting_ != counters)
+        panic("trace engine already has a counting subscription");
+    counting_ = counters;
+    recomputeMask();
+}
+
+void
+TraceEngine::detachCounters(const TraceCounters *counters)
+{
+    if (counting_ == counters) {
+        counting_ = nullptr;
+        recomputeMask();
+    }
+}
+
+void
 TraceEngine::recomputeMask()
 {
     syncMask_ = 0;
@@ -73,7 +89,8 @@ TraceEngine::recomputeMask()
     batchMask_ = 0;
     for (const BatchEntry &e : batchEntries_)
         batchMask_ |= e.mask;
-    activeMask_ = syncMask_ | batchMask_;
+    dispatchMask_ = syncMask_ | batchMask_;
+    activeMask_ = dispatchMask_ | (counting_ != nullptr ? TRACE_ALL : 0);
 }
 
 void
@@ -92,19 +109,8 @@ TraceEngine::flushSlow()
     std::vector<TraceRecord> batch;
     batch.swap(pending_);
     for (const BatchEntry &e : batchEntries_) {
-        // Common case: one sink subscribed to everything — hand over
-        // the whole run without a filtering copy.
-        bool coversAll = true;
-        for (const TraceRecord &r : batch) {
-            if ((e.mask & maskOf(r.kind)) == 0) {
-                coversAll = false;
-                break;
-            }
-        }
-        if (coversAll) {
-            e.sub->onRecords(batch.data(), batch.size());
-            continue;
-        }
+        // Hand over maximal runs of wanted records (the whole batch, for
+        // a sink subscribed to everything) without a filtering copy.
         std::size_t runStart = 0;
         for (std::size_t i = 0; i <= batch.size(); ++i) {
             const bool wanted =
@@ -141,12 +147,34 @@ TraceEngine::commitRecord()
         flushSlow();
 }
 
-// One dispatch body per payload type; kept out of the header so the
-// emission sites inline only the enabled() test. The synchronous pass
-// runs first (response fields get their final values), then the payload
-// is snapshotted for the batch ring.
+namespace
+{
+
+/** The payload as stored in a TraceRecord: records outlive the emit, so
+ *  BusTransfer's payload pointer (valid only during the synchronous
+ *  callbacks) is dropped. */
+template <typename Payload>
+const Payload &
+snapshotOf(const Payload &event)
+{
+    return event;
+}
+
+BusTransfer
+snapshotOf(const BusTransfer &event)
+{
+    BusTransfer snapshot = event;
+    snapshot.data = nullptr;
+    return snapshot;
+}
+
+} // namespace
+
+// One dispatch body per payload type, behind the inline emit(): the
+// synchronous pass runs first (response fields get their final values),
+// then the payload is snapshotted for the batch ring.
 #define SENTRY_TRACE_DISPATCH(Kind, Method, Field)                          \
-    void TraceEngine::emit(Kind &event)                                     \
+    void TraceEngine::dispatch(Kind &event)                                 \
     {                                                                       \
         const TraceMask bit = maskOf(TraceKind::Kind);                      \
         if ((syncMask_ & bit) != 0) {                                       \
@@ -156,12 +184,13 @@ TraceEngine::commitRecord()
             }                                                               \
         }                                                                   \
         if ((batchMask_ & bit) != 0) {                                      \
-            appendRecord(TraceKind::Kind).Field = event;                    \
+            appendRecord(TraceKind::Kind).Field = snapshotOf(event);        \
             commitRecord();                                                 \
         }                                                                   \
     }
 
 SENTRY_TRACE_DISPATCH(MemAccess, onMemAccess, mem)
+SENTRY_TRACE_DISPATCH(BusTransfer, onBusTransfer, bus)
 SENTRY_TRACE_DISPATCH(CacheEvent, onCacheEvent, cache)
 SENTRY_TRACE_DISPATCH(PowerEvent, onPowerEvent, power)
 SENTRY_TRACE_DISPATCH(DmaBurst, onDmaBurst, dma)
@@ -169,26 +198,6 @@ SENTRY_TRACE_DISPATCH(CryptoOp, onCryptoOp, crypto)
 SENTRY_TRACE_DISPATCH(KcryptdOp, onKcryptdOp, kcryptd)
 
 #undef SENTRY_TRACE_DISPATCH
-
-// BusTransfer is special-cased: the payload pointer is only valid
-// during the synchronous callback, so the snapshot drops it.
-void
-TraceEngine::emit(BusTransfer &event)
-{
-    const TraceMask bit = maskOf(TraceKind::BusTransfer);
-    if ((syncMask_ & bit) != 0) {
-        for (const Entry &e : entries_) {
-            if ((e.mask & bit) != 0)
-                e.sub->onBusTransfer(event);
-        }
-    }
-    if ((batchMask_ & bit) != 0) {
-        TraceRecord &rec = appendRecord(TraceKind::BusTransfer);
-        rec.bus = event;
-        rec.bus.data = nullptr;
-        commitRecord();
-    }
-}
 
 std::string
 TraceCounters::summary() const
@@ -225,73 +234,15 @@ CounterSink::attach(TraceEngine &engine)
 {
     detach();
     engine_ = &engine;
-    engine_->subscribeBatched(this, TRACE_ALL);
+    engine_->attachCounters(&counters_);
 }
 
 void
 CounterSink::detach()
 {
     if (engine_ != nullptr) {
-        engine_->unsubscribeBatched(this);
+        engine_->detachCounters(&counters_);
         engine_ = nullptr;
-    }
-}
-
-const TraceCounters &
-CounterSink::counters() const
-{
-    if (engine_ != nullptr)
-        engine_->flushPending();
-    return counters_;
-}
-
-void
-CounterSink::onRecords(const TraceRecord *records, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRecord &r = records[i];
-        switch (r.kind) {
-          case TraceKind::MemAccess:
-            if (r.mem.device == MemAccess::Device::Dram)
-                ++(r.mem.isWrite ? counters_.dramWrites
-                                 : counters_.dramReads);
-            else
-                ++(r.mem.isWrite ? counters_.iramWrites
-                                 : counters_.iramReads);
-            break;
-          case TraceKind::BusTransfer:
-            if (r.bus.duplicate)
-                ++counters_.busDuplicates;
-            if (r.bus.isWrite) {
-                ++counters_.busWrites;
-                counters_.busWriteBytes += r.bus.size;
-            } else {
-                ++counters_.busReads;
-                counters_.busReadBytes += r.bus.size;
-            }
-            break;
-          case TraceKind::CacheEvent:
-            ++counters_.cacheWritebacks;
-            break;
-          case TraceKind::PowerEvent:
-            ++counters_.powerEvents;
-            counters_.joules += r.power.joules;
-            break;
-          case TraceKind::DmaBurst:
-            ++counters_.dmaBursts;
-            counters_.dmaBytes += r.dma.len;
-            break;
-          case TraceKind::CryptoOp:
-            ++counters_.cryptoOps;
-            counters_.cryptoBytes += r.crypto.bytes;
-            break;
-          case TraceKind::KcryptdOp:
-            ++counters_.kcryptdBlocks;
-            counters_.kcryptdStallSeconds += r.kcryptd.stallSeconds;
-            break;
-          default:
-            break;
-        }
     }
 }
 

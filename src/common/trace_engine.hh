@@ -5,7 +5,7 @@
  * accumulator (CounterSink) and a chrome://tracing timeline dumper
  * (ChromeTraceSink).
  *
- * Two subscriber classes exist:
+ * Three subscription classes exist, served in this order at each emit:
  *
  *   - synchronous Subscribers are called inline at the emission site, in
  *     subscription order — the fault injector subscribes at arm time
@@ -14,16 +14,22 @@
  *     (BusTransfer::extraWrites, KcryptdOp::stallSeconds) work exactly
  *     as the old hook-before-observer plumbing behaved;
  *
- *   - batched BatchSubscribers (the passive sinks) receive POD
- *     TraceRecord snapshots from a per-Soc pending ring that the
- *     emitting devices flush at bus-burst boundaries. An enabled
- *     CounterSink or ChromeTraceSink therefore costs one snapshot
- *     append on the hot path instead of a virtual dispatch per event,
- *     while the *disabled* cost stays one pointer load plus one bit
- *     test. Records are appended after the synchronous pass, so batch
- *     consumers observe final response-field values, in exact emission
- *     order; sink accessors (counters(), writeJson()) force a flush, so
- *     readers never see a stale prefix (DESIGN.md section 14).
+ *   - batched BatchSubscribers (record sinks such as ChromeTraceSink)
+ *     receive POD TraceRecord snapshots from a per-Soc pending ring that
+ *     the emitting devices flush at bus-burst boundaries. Records are
+ *     appended after the synchronous pass, so batch consumers observe
+ *     final response-field values, in exact emission order; sink
+ *     accessors (eventCount(), writeJson()) force a flush, so readers
+ *     never see a stale prefix (DESIGN.md section 14);
+ *
+ *   - one counting subscription (a CounterSink's TraceCounters) is
+ *     tallied inline in emit(), after the other two: one increment, or
+ *     one add for the byte and double fields, per event. It builds no
+ *     record, reads no clock and never touches the ring, so with only a
+ *     counter attached an emission costs the guard, the payload and the
+ *     tally, and the burst flush is one empty check.
+ *
+ * The *disabled* cost stays one pointer load plus one bit test.
  */
 
 #ifndef SENTRY_COMMON_TRACE_ENGINE_HH
@@ -42,6 +48,124 @@ class SimClock;
 
 namespace sentry::probe
 {
+
+/** Passive per-device totals accumulated from every trace-point kind. */
+struct TraceCounters
+{
+    std::uint64_t dramReads = 0;
+    std::uint64_t dramWrites = 0;
+    std::uint64_t iramReads = 0;
+    std::uint64_t iramWrites = 0;
+    std::uint64_t busReads = 0;
+    std::uint64_t busWrites = 0;
+    std::uint64_t busDuplicates = 0;
+    std::uint64_t busReadBytes = 0;
+    std::uint64_t busWriteBytes = 0;
+    std::uint64_t cacheWritebacks = 0;
+    std::uint64_t powerEvents = 0;
+    double joules = 0.0;
+    std::uint64_t dmaBursts = 0;
+    std::uint64_t dmaBytes = 0;
+    std::uint64_t cryptoOps = 0;
+    std::uint64_t cryptoBytes = 0;
+    std::uint64_t kcryptdBlocks = 0;
+    double kcryptdStallSeconds = 0.0;
+
+    // One tally per payload type, called by TraceEngine::emit after the
+    // synchronous pass (response fields are final). The two doubles are
+    // added in emission order.
+    void
+    count(const MemAccess &event)
+    {
+        if (event.device == MemAccess::Device::Dram)
+            ++(event.isWrite ? dramWrites : dramReads);
+        else
+            ++(event.isWrite ? iramWrites : iramReads);
+    }
+
+    void
+    count(const BusTransfer &event)
+    {
+        if (event.duplicate)
+            ++busDuplicates;
+        if (event.isWrite) {
+            ++busWrites;
+            busWriteBytes += event.size;
+        } else {
+            ++busReads;
+            busReadBytes += event.size;
+        }
+    }
+
+    void count(const CacheEvent &) { ++cacheWritebacks; }
+
+    void
+    count(const PowerEvent &event)
+    {
+        ++powerEvents;
+        joules += event.joules;
+    }
+
+    void
+    count(const DmaBurst &event)
+    {
+        ++dmaBursts;
+        dmaBytes += event.len;
+    }
+
+    void
+    count(const CryptoOp &event)
+    {
+        ++cryptoOps;
+        cryptoBytes += event.bytes;
+    }
+
+    void
+    count(const KcryptdOp &event)
+    {
+        ++kcryptdBlocks;
+        kcryptdStallSeconds += event.stallSeconds;
+    }
+
+    /** @return DRAM + iRAM accesses of either direction. */
+    std::uint64_t
+    memOps() const
+    {
+        return dramReads + dramWrites + iramReads + iramWrites;
+    }
+
+    /** @return bus transactions of either direction (incl. duplicates). */
+    std::uint64_t busOps() const { return busReads + busWrites; }
+
+    /** Sum another device's counters into this one (commutative for
+     * the integer fields; the two double fields are plain sums). */
+    TraceCounters &
+    operator+=(const TraceCounters &other)
+    {
+        dramReads += other.dramReads;
+        dramWrites += other.dramWrites;
+        iramReads += other.iramReads;
+        iramWrites += other.iramWrites;
+        busReads += other.busReads;
+        busWrites += other.busWrites;
+        busDuplicates += other.busDuplicates;
+        busReadBytes += other.busReadBytes;
+        busWriteBytes += other.busWriteBytes;
+        cacheWritebacks += other.cacheWritebacks;
+        powerEvents += other.powerEvents;
+        joules += other.joules;
+        dmaBursts += other.dmaBursts;
+        dmaBytes += other.dmaBytes;
+        cryptoOps += other.cryptoOps;
+        cryptoBytes += other.cryptoBytes;
+        kcryptdBlocks += other.kcryptdBlocks;
+        kcryptdStallSeconds += other.kcryptdStallSeconds;
+        return *this;
+    }
+
+    /** @return one-line "k:v k:v ..." rendering (stable field order). */
+    std::string summary() const;
+};
 
 /**
  * Receiver interface for trace points. Override only the kinds you
@@ -118,12 +242,24 @@ class TraceEngine
     /** @return true when any subscriber is attached at all. */
     bool anyEnabled() const { return activeMask_ != 0; }
 
-    /** @return number of attached subscribers (both classes). */
+    /** @return number of attached subscribers (all three classes). */
     std::size_t
     subscriberCount() const
     {
-        return entries_.size() + batchEntries_.size();
+        return entries_.size() + batchEntries_.size() +
+               (counting_ != nullptr ? 1 : 0);
     }
+
+    /**
+     * Make @p counters the engine's counting subscription: every kind
+     * is tallied into it inline at each emit. An engine has at most one;
+     * attaching a second while one is attached panics.
+     */
+    void attachCounters(TraceCounters *counters);
+
+    /** Drop @p counters as the counting subscription (no-op when it is
+     * not the attached one). */
+    void detachCounters(const TraceCounters *counters);
 
     /**
      * Wire the clock that stamps TraceRecord::tsUs (the Soc does this at
@@ -138,9 +274,6 @@ class TraceEngine
      */
     void setBatchCapacity(std::size_t capacity);
 
-    /** @return the pending-ring capacity. */
-    std::size_t batchCapacity() const { return capacity_; }
-
     /** @return records currently waiting in the ring. */
     std::size_t pendingCount() const { return pending_.size(); }
 
@@ -148,7 +281,7 @@ class TraceEngine
      * Deliver pending records to the batch subscribers. Devices call
      * this at burst boundaries (end of a bus transaction); sinks call
      * it from their read accessors. Inline early-out keeps the empty
-     * case to one load.
+     * case — always, with no record sink attached — to one load.
      */
     void
     flushPending()
@@ -157,13 +290,13 @@ class TraceEngine
             flushSlow();
     }
 
-    void emit(MemAccess &event);
-    void emit(BusTransfer &event);
-    void emit(CacheEvent &event);
-    void emit(PowerEvent &event);
-    void emit(DmaBurst &event);
-    void emit(CryptoOp &event);
-    void emit(KcryptdOp &event);
+    void emit(MemAccess &event) { emitAs(TraceKind::MemAccess, event); }
+    void emit(BusTransfer &event) { emitAs(TraceKind::BusTransfer, event); }
+    void emit(CacheEvent &event) { emitAs(TraceKind::CacheEvent, event); }
+    void emit(PowerEvent &event) { emitAs(TraceKind::PowerEvent, event); }
+    void emit(DmaBurst &event) { emitAs(TraceKind::DmaBurst, event); }
+    void emit(CryptoOp &event) { emitAs(TraceKind::CryptoOp, event); }
+    void emit(KcryptdOp &event) { emitAs(TraceKind::KcryptdOp, event); }
 
   private:
     struct Entry
@@ -178,6 +311,30 @@ class TraceEngine
         TraceMask mask;
     };
 
+    /**
+     * The synchronous pass, then the record append, out of line and only
+     * when a sync or record subscriber wants @p kind; the tally last, so
+     * it sees final response fields and follows any events a sync
+     * callback emitted re-entrantly, as the records do.
+     */
+    template <typename Payload>
+    void
+    emitAs(TraceKind kind, Payload &event)
+    {
+        if ((dispatchMask_ & maskOf(kind)) != 0)
+            dispatch(event);
+        if (counting_ != nullptr)
+            counting_->count(event);
+    }
+
+    void dispatch(MemAccess &event);
+    void dispatch(BusTransfer &event);
+    void dispatch(CacheEvent &event);
+    void dispatch(PowerEvent &event);
+    void dispatch(DmaBurst &event);
+    void dispatch(CryptoOp &event);
+    void dispatch(KcryptdOp &event);
+
     void recomputeMask();
     void flushSlow();
     /** Stamp ts/kind on a fresh pending record (payload set by caller),
@@ -187,98 +344,42 @@ class TraceEngine
 
     std::vector<Entry> entries_;
     std::vector<BatchEntry> batchEntries_;
+    TraceCounters *counting_ = nullptr;
     TraceMask syncMask_ = 0;
     TraceMask batchMask_ = 0;
-    TraceMask activeMask_ = 0;
+    TraceMask dispatchMask_ = 0; //!< syncMask_ | batchMask_
+    TraceMask activeMask_ = 0;   //!< dispatchMask_, or all when counting
     const SimClock *clock_ = nullptr;
     std::size_t capacity_ = DEFAULT_BATCH_CAPACITY;
     std::vector<TraceRecord> pending_;
 };
 
-/** Passive per-device totals accumulated from every trace-point kind. */
-struct TraceCounters
-{
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t iramReads = 0;
-    std::uint64_t iramWrites = 0;
-    std::uint64_t busReads = 0;
-    std::uint64_t busWrites = 0;
-    std::uint64_t busDuplicates = 0;
-    std::uint64_t busReadBytes = 0;
-    std::uint64_t busWriteBytes = 0;
-    std::uint64_t cacheWritebacks = 0;
-    std::uint64_t powerEvents = 0;
-    double joules = 0.0;
-    std::uint64_t dmaBursts = 0;
-    std::uint64_t dmaBytes = 0;
-    std::uint64_t cryptoOps = 0;
-    std::uint64_t cryptoBytes = 0;
-    std::uint64_t kcryptdBlocks = 0;
-    double kcryptdStallSeconds = 0.0;
-
-    /** @return DRAM + iRAM accesses of either direction. */
-    std::uint64_t
-    memOps() const
-    {
-        return dramReads + dramWrites + iramReads + iramWrites;
-    }
-
-    /** @return bus transactions of either direction (incl. duplicates). */
-    std::uint64_t busOps() const { return busReads + busWrites; }
-
-    /** Sum another device's counters into this one (commutative for
-     * the integer fields; the two double fields are plain sums). */
-    TraceCounters &
-    operator+=(const TraceCounters &other)
-    {
-        dramReads += other.dramReads;
-        dramWrites += other.dramWrites;
-        iramReads += other.iramReads;
-        iramWrites += other.iramWrites;
-        busReads += other.busReads;
-        busWrites += other.busWrites;
-        busDuplicates += other.busDuplicates;
-        busReadBytes += other.busReadBytes;
-        busWriteBytes += other.busWriteBytes;
-        cacheWritebacks += other.cacheWritebacks;
-        powerEvents += other.powerEvents;
-        joules += other.joules;
-        dmaBursts += other.dmaBursts;
-        dmaBytes += other.dmaBytes;
-        cryptoOps += other.cryptoOps;
-        cryptoBytes += other.cryptoBytes;
-        kcryptdBlocks += other.kcryptdBlocks;
-        kcryptdStallSeconds += other.kcryptdStallSeconds;
-        return *this;
-    }
-
-    /** @return one-line "k:v k:v ..." rendering (stable field order). */
-    std::string summary() const;
-};
-
 /**
- * Batch sink that accumulates TraceCounters. Deterministic: totals
- * depend only on the simulated event stream, never on host timing or
- * on where the burst boundaries fall.
+ * The engine's counting subscription, as a sink object: owns the
+ * TraceCounters the engine tallies into. Deterministic: totals depend
+ * only on the simulated event stream, never on host timing or on
+ * whether record sinks are attached.
  */
-class CounterSink : public BatchSubscriber
+class CounterSink
 {
   public:
-    ~CounterSink() override { detach(); }
+    CounterSink() = default;
+    ~CounterSink() { detach(); }
 
-    /** Subscribe to @p engine for every kind (detaches from any prior). */
+    // The engine holds the address of counters_ while attached.
+    CounterSink(const CounterSink &) = delete;
+    CounterSink &operator=(const CounterSink &) = delete;
+
+    /** Count every kind on @p engine (detaches from any prior). */
     void attach(TraceEngine &engine);
 
-    /** Flush and unsubscribe (no-op when unattached). */
+    /** Stop counting (no-op when unattached). */
     void detach();
 
-    /** @return the totals, flushing any pending records first. */
-    const TraceCounters &counters() const;
+    /** @return the totals so far (always current: counting is inline). */
+    const TraceCounters &counters() const { return counters_; }
 
     void reset() { counters_ = TraceCounters{}; }
-
-    void onRecords(const TraceRecord *records, std::size_t count) override;
 
   private:
     TraceEngine *engine_ = nullptr;

@@ -16,8 +16,6 @@ namespace sentry::fleet
 namespace
 {
 
-constexpr unsigned MAX_THREADS = 256;
-
 std::string
 formatDouble(double value)
 {

@@ -63,6 +63,9 @@ constexpr unsigned MAX_DEVICES = 1u << 20;
 /** Upper bound on the shard count of the worker/dispatcher engine. */
 constexpr unsigned MAX_SHARDS = 4096;
 
+/** Upper bound on worker threads (fleet threads, fuzz campaign jobs). */
+constexpr unsigned MAX_THREADS = 256;
+
 /** Parse/validation failure; carries the offending 1-based line. */
 class ScenarioError : public std::runtime_error
 {

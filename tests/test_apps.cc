@@ -8,6 +8,7 @@
 
 #include "apps/app_profile.hh"
 #include "apps/background_app.hh"
+#include "apps/cli_args.hh"
 #include "apps/kernel_compile.hh"
 #include "apps/synthetic_app.hh"
 #include "common/bytes.hh"
@@ -197,4 +198,21 @@ TEST(KernelCompile, LockingWaysDegradesGracefully)
         EXPECT_GE(result.minutes, prev * 0.995) << ways;
         prev = result.minutes;
     }
+}
+
+TEST(CliArgs, NumberArgsRejectJunkSignsAndOutOfRange)
+{
+    EXPECT_EQ(parseNumberArg("12", 1, 256), 12u);
+    EXPECT_EQ(parseNumberArg("0x10", 0, 256), 16u);
+    EXPECT_EQ(parseNumberArg("256", 1, 256), 256u);
+    EXPECT_EQ(parseNumberArg("0", 0, 0), 0u);
+    EXPECT_FALSE(parseNumberArg("257", 1, 256).has_value());
+    EXPECT_FALSE(parseNumberArg("0", 1, 256).has_value());
+    EXPECT_FALSE(parseNumberArg("12abc", 1, 256).has_value());
+    EXPECT_FALSE(parseNumberArg("", 0, 256).has_value());
+    EXPECT_FALSE(parseNumberArg("-1", 0, ~0ULL).has_value());
+    EXPECT_FALSE(parseNumberArg(" 5", 0, 256).has_value());
+    EXPECT_FALSE(parseNumberArg("4294967297", 1, 0xffffffffu).has_value());
+    EXPECT_FALSE(
+        parseNumberArg("99999999999999999999999", 0, ~0ULL).has_value());
 }

@@ -8,10 +8,16 @@
  * Dram and LockedL2 placements only: the iRAM-placement fast path
  * legitimately reads pinned state without calling Iram::read, so its
  * MemAccess counts differ by design (DESIGN.md §9).
+ *
+ * The inline counting subscription is checked against a record-path
+ * reference (RecordTallySink: every record, delivered one at a time,
+ * tallied kind by kind) on plain traffic and on fuzz trials with
+ * faults armed — every TraceCounters field, the doubles by their bits.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -22,8 +28,11 @@
 #include "common/bytes.hh"
 #include "common/logging.hh"
 #include "common/trace_engine.hh"
+#include "core/device.hh"
 #include "core/locked_way_manager.hh"
 #include "crypto/aes_on_soc.hh"
+#include "fault/fuzzer.hh"
+#include "fleet/device_runner.hh"
 #include "hw/platform.hh"
 #include "hw/soc.hh"
 
@@ -312,6 +321,109 @@ struct RecordingBatchSink : probe::BatchSubscriber
     unsigned batches = 0;
 };
 
+/**
+ * The record-path reference tally: a batch sink that counts every
+ * TraceRecord kind by kind. Attached at capacity 1 it sees each record
+ * as soon as it is committed.
+ */
+struct RecordTallySink : probe::BatchSubscriber
+{
+    void
+    onRecords(const probe::TraceRecord *records,
+              std::size_t count) override
+    {
+        probe::TraceCounters &c = counters;
+        for (std::size_t i = 0; i < count; ++i) {
+            const probe::TraceRecord &r = records[i];
+            switch (r.kind) {
+              case probe::TraceKind::MemAccess:
+                if (r.mem.device == probe::MemAccess::Device::Dram)
+                    ++(r.mem.isWrite ? c.dramWrites : c.dramReads);
+                else
+                    ++(r.mem.isWrite ? c.iramWrites : c.iramReads);
+                break;
+              case probe::TraceKind::BusTransfer:
+                if (r.bus.duplicate)
+                    ++c.busDuplicates;
+                if (r.bus.isWrite) {
+                    ++c.busWrites;
+                    c.busWriteBytes += r.bus.size;
+                } else {
+                    ++c.busReads;
+                    c.busReadBytes += r.bus.size;
+                }
+                break;
+              case probe::TraceKind::CacheEvent:
+                ++c.cacheWritebacks;
+                break;
+              case probe::TraceKind::PowerEvent:
+                ++c.powerEvents;
+                c.joules += r.power.joules;
+                break;
+              case probe::TraceKind::DmaBurst:
+                ++c.dmaBursts;
+                c.dmaBytes += r.dma.len;
+                break;
+              case probe::TraceKind::CryptoOp:
+                ++c.cryptoOps;
+                c.cryptoBytes += r.crypto.bytes;
+                break;
+              case probe::TraceKind::KcryptdOp:
+                ++c.kcryptdBlocks;
+                c.kcryptdStallSeconds += r.kcryptd.stallSeconds;
+                break;
+              default:
+                break;
+            }
+        }
+    }
+
+    probe::TraceCounters counters;
+};
+
+/** Every TraceCounters field must match; doubles by their bits. */
+void
+expectSameCounters(const probe::TraceCounters &inl,
+                   const probe::TraceCounters &ref)
+{
+#define SENTRY_EXPECT_FIELD(f) EXPECT_EQ(inl.f, ref.f) << #f
+#define SENTRY_EXPECT_BITS(f)                                               \
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(inl.f),                          \
+              std::bit_cast<std::uint64_t>(ref.f))                          \
+        << #f << ": " << inl.f << " vs " << ref.f
+    SENTRY_EXPECT_FIELD(dramReads);
+    SENTRY_EXPECT_FIELD(dramWrites);
+    SENTRY_EXPECT_FIELD(iramReads);
+    SENTRY_EXPECT_FIELD(iramWrites);
+    SENTRY_EXPECT_FIELD(busReads);
+    SENTRY_EXPECT_FIELD(busWrites);
+    SENTRY_EXPECT_FIELD(busDuplicates);
+    SENTRY_EXPECT_FIELD(busReadBytes);
+    SENTRY_EXPECT_FIELD(busWriteBytes);
+    SENTRY_EXPECT_FIELD(cacheWritebacks);
+    SENTRY_EXPECT_FIELD(powerEvents);
+    SENTRY_EXPECT_BITS(joules);
+    SENTRY_EXPECT_FIELD(dmaBursts);
+    SENTRY_EXPECT_FIELD(dmaBytes);
+    SENTRY_EXPECT_FIELD(cryptoOps);
+    SENTRY_EXPECT_FIELD(cryptoBytes);
+    SENTRY_EXPECT_FIELD(kcryptdBlocks);
+    SENTRY_EXPECT_BITS(kcryptdStallSeconds);
+#undef SENTRY_EXPECT_FIELD
+#undef SENTRY_EXPECT_BITS
+}
+
+/** Asks the bus to replay every original write once. */
+struct DuplicatingSubscriber : probe::Subscriber
+{
+    void
+    onBusTransfer(probe::BusTransfer &event) override
+    {
+        if (event.isWrite && !event.duplicate)
+            event.extraWrites += 1;
+    }
+};
+
 /** Drive a fixed deterministic workload on a fresh Soc. */
 void
 driveWorkload(Soc &soc)
@@ -354,21 +466,25 @@ TEST(TraceBatching, BatchedStreamMatchesUnbatchedStream)
 
 TEST(TraceBatching, CounterTotalsMatchBetweenCapacities)
 {
+    // A record consumer that tallies must reach the same totals whether
+    // the ring delivers per event or per burst.
     probe::TraceCounters unbatched, batched;
     {
         Soc soc(PlatformConfig::tegra3(16 * MiB));
         soc.trace().setBatchCapacity(1);
-        probe::CounterSink sink;
-        sink.attach(soc.trace());
+        RecordTallySink sink;
+        soc.trace().subscribeBatched(&sink, probe::TRACE_ALL);
         driveWorkload(soc);
-        unbatched = sink.counters();
+        soc.trace().unsubscribeBatched(&sink);
+        unbatched = sink.counters;
     }
     {
         Soc soc(PlatformConfig::tegra3(16 * MiB));
-        probe::CounterSink sink;
-        sink.attach(soc.trace());
+        RecordTallySink sink;
+        soc.trace().subscribeBatched(&sink, probe::TRACE_ALL);
         driveWorkload(soc);
-        batched = sink.counters();
+        soc.trace().unsubscribeBatched(&sink);
+        batched = sink.counters;
     }
     EXPECT_EQ(unbatched.summary(), batched.summary());
     EXPECT_GT(batched.memOps(), 0u);
@@ -376,13 +492,14 @@ TEST(TraceBatching, CounterTotalsMatchBetweenCapacities)
 
 TEST(TraceBatching, ReadersSeeNoStalePrefix)
 {
-    // counters() must flush the pending ring: a mid-burst reader sees
+    // eventCount() must flush the pending ring: a mid-burst reader sees
     // every event emitted so far, not just the flushed prefix.
     Soc soc(PlatformConfig::tegra3(16 * MiB));
-    probe::CounterSink sink;
+    probe::ChromeTraceSink sink(1024);
     sink.attach(soc.trace());
     soc.memory().write32(IRAM_BASE + 0x40, 1u); // no bus burst: stays pending
-    EXPECT_EQ(sink.counters().iramWrites, 1u);
+    EXPECT_EQ(soc.trace().pendingCount(), 1u);
+    EXPECT_EQ(sink.eventCount(), 1u);
     EXPECT_EQ(soc.trace().pendingCount(), 0u);
 }
 
@@ -469,4 +586,110 @@ TEST(TraceBatching, AutoDumpWritesTheTimelineFromTheDestructor)
     body << in.rdbuf();
     EXPECT_NE(body.str().find("bus-transfer"), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(CountingEquivalence, InlineMatchesRecordTallyOnPlainTraffic)
+{
+    // Same Soc, same stream: the engine's inline counting and the
+    // record-path tally at capacity 1, with a sync subscriber filling
+    // the extraWrites response channel so duplicates are counted too.
+    Soc soc(PlatformConfig::tegra3(16 * MiB));
+    DuplicatingSubscriber duplicator;
+    soc.trace().subscribe(&duplicator,
+                          probe::maskOf(probe::TraceKind::BusTransfer));
+    soc.trace().setBatchCapacity(1);
+    RecordTallySink reference;
+    soc.trace().subscribeBatched(&reference, probe::TRACE_ALL);
+    probe::CounterSink sink;
+    sink.attach(soc.trace());
+
+    driveWorkload(soc);
+    soc.l2().cleanAllMasked();
+
+    soc.trace().unsubscribeBatched(&reference);
+    expectSameCounters(sink.counters(), reference.counters);
+    EXPECT_GT(sink.counters().busDuplicates, 0u);
+    EXPECT_GT(sink.counters().cacheWritebacks, 0u);
+    sink.detach();
+    soc.trace().unsubscribe(&duplicator);
+}
+
+namespace
+{
+
+/**
+ * Run @p spec the way fault::runTrial does, forced onto the snapshot
+ * spawn path, with @p reference subscribed (at capacity 1) to the
+ * device's engine for the whole run. The first run parks a device in
+ * the pool; the second re-forks that same device, so the reference sees
+ * exactly the events the device runner's CounterSink counts.
+ */
+fleet::DeviceResult
+runWithRecordTally(const fault::FuzzTrialSpec &spec,
+                   const fault::FuzzOptions &options,
+                   RecordTallySink &reference)
+{
+    fleet::FleetOptions fleetOptions;
+    fleetOptions.devices = 1;
+    fleetOptions.threads = 1;
+    fleetOptions.seed = spec.seed;
+    fleetOptions.platform = options.platform;
+    fleetOptions.dramBytes = options.dramBytes;
+    fleetOptions.auditEveryStep = true;
+    fleetOptions.faultSchedule = &spec.faults;
+    if (spec.scenario.hasDefense)
+        fleetOptions.defense = spec.scenario.defense;
+    fleetOptions.spawnMode = fleet::SpawnMode::Snapshot;
+    fleetOptions.templateSnapshot =
+        fleet::makeFleetTemplate(spec.scenario, fleetOptions);
+
+    fleet::DevicePool pool;
+    fleet::runDevice(spec.scenario, fleetOptions, 0, &pool);
+    probe::TraceEngine &engine = pool.device->soc().trace();
+    engine.setBatchCapacity(1);
+    engine.subscribeBatched(&reference, probe::TRACE_ALL);
+    fleet::DeviceResult result =
+        fleet::runDevice(spec.scenario, fleetOptions, 0, &pool);
+    engine.unsubscribeBatched(&reference);
+    return result;
+}
+
+} // namespace
+
+TEST(CountingEquivalence, InlineMatchesRecordTallyOnFuzzTrials)
+{
+    fault::FuzzOptions options;
+    options.seed = 0x7ace0000c0417ULL;
+    options.shrink = false;
+    options.steps = 12;
+    options.spawnSnapshot = true;
+
+    probe::TraceCounters total;
+    for (unsigned index = 0; index < 6; ++index) {
+        SCOPED_TRACE("trial " + std::to_string(index));
+        fault::FuzzTrialSpec spec = fault::generateTrial(options, index);
+        spec.spawnSnapshot = true;
+        // Arm both response channels and a re-entrant emitter (the DMA
+        // burst fires from inside the injector's writeback callback) on
+        // top of the generated faults.
+        spec.faults = fault::parseFaultSchedule(
+            fault::formatFaultSchedule(spec.faults) +
+            "fault bus_dup_write after 3 every 40 count 1\n"
+            "fault kcryptd_stall after 2 every 5 seconds 0.00025\n"
+            "fault dma_burst after 4 every 30 bytes 256\n");
+
+        RecordTallySink reference;
+        const fleet::DeviceResult result =
+            runWithRecordTally(spec, options, reference);
+        expectSameCounters(result.trace, reference.counters);
+
+        // The repro file's `# trace:` line is byte-identical too.
+        const fault::TrialOutcome outcome = fault::runTrial(spec, options);
+        EXPECT_EQ(outcome.traceSummary, reference.counters.summary());
+        total += reference.counters;
+    }
+    // The trials exercised both fault response channels.
+    EXPECT_GT(total.busDuplicates, 0u);
+    EXPECT_GT(total.kcryptdStallSeconds, 0.0);
+    EXPECT_GT(total.dmaBursts, 0u);
 }
