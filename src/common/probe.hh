@@ -15,7 +15,10 @@
  * field (BusTransfer::extraWrites, KcryptdOp::stallSeconds) that the
  * emitting device acts on after the emit returns. This is how fault
  * injection feeds effects back into the machine without the devices
- * ever holding a pointer to the fault model.
+ * ever holding a pointer to the fault model. Subscribers run in
+ * subscription order, so a response field is final for every
+ * subscriber attached after its writer, and for the counting tally,
+ * which runs after all of them.
  */
 
 #ifndef SENTRY_COMMON_PROBE_HH
@@ -157,31 +160,6 @@ struct KcryptdOp
      * emitting kcryptd path charges the total to the sim clock.
      */
     double stallSeconds;
-};
-
-/**
- * One batched trace point: a POD snapshot of the payload taken at emit
- * time, *after* every synchronous subscriber ran — response fields
- * (stallSeconds, extraWrites) carry their final values.
- *
- * Snapshots outlive the emitting call, so transient pointers are
- * dropped: BusTransfer::data is nulled (it is only valid during a
- * synchronous callback). PowerEvent::category survives because it
- * always points at a static energyCategoryName() string.
- */
-struct TraceRecord
-{
-    TraceKind kind;
-    double tsUs; //!< simulated microseconds at emit (0 with no clock)
-    union {
-        MemAccess mem;
-        BusTransfer bus;
-        CacheEvent cache;
-        PowerEvent power;
-        DmaBurst dma;
-        CryptoOp crypto;
-        KcryptdOp kcryptd;
-    };
 };
 
 } // namespace sentry::probe

@@ -5,29 +5,20 @@
  * accumulator (CounterSink) and a chrome://tracing timeline dumper
  * (ChromeTraceSink).
  *
- * Three subscription classes exist, served in this order at each emit:
+ * Two subscription classes exist, served in this order at each emit:
  *
  *   - synchronous Subscribers are called inline at the emission site, in
  *     subscription order — the fault injector subscribes at arm time
- *     (before any attack probe), so fault effects are applied before
- *     monitors record the transaction, and response channels
- *     (BusTransfer::extraWrites, KcryptdOp::stallSeconds) work exactly
- *     as the old hook-before-observer plumbing behaved;
- *
- *   - batched BatchSubscribers (record sinks such as ChromeTraceSink)
- *     receive POD TraceRecord snapshots from a per-Soc pending ring that
- *     the emitting devices flush at bus-burst boundaries. Records are
- *     appended after the synchronous pass, so batch consumers observe
- *     final response-field values, in exact emission order; sink
- *     accessors (eventCount(), writeJson()) force a flush, so readers
- *     never see a stale prefix (DESIGN.md section 14);
+ *     (before any attack probe or timeline sink), so fault effects are
+ *     applied before monitors record the transaction, and response
+ *     channels (BusTransfer::extraWrites, KcryptdOp::stallSeconds) are
+ *     final by the time later subscribers read them;
  *
  *   - one counting subscription (a CounterSink's TraceCounters) is
- *     tallied inline in emit(), after the other two: one increment, or
- *     one add for the byte and double fields, per event. It builds no
- *     record, reads no clock and never touches the ring, so with only a
- *     counter attached an emission costs the guard, the payload and the
- *     tally, and the burst flush is one empty check.
+ *     tallied inline in emit(), after the synchronous pass: one
+ *     increment, or one add for the byte and double fields, per event.
+ *     It builds no record and reads no clock, so with only a counter
+ *     attached an emission costs the guard, the payload and the tally.
  *
  * The *disabled* cost stays one pointer load plus one bit test.
  */
@@ -189,20 +180,6 @@ class Subscriber
 };
 
 /**
- * Receiver interface for batched trace records. Records arrive in
- * emission order, already filtered to the subscription mask, at burst
- * boundaries (or per event when batching is off).
- */
-class BatchSubscriber
-{
-  public:
-    virtual ~BatchSubscriber() = default;
-
-    virtual void onRecords(const TraceRecord *records,
-                           std::size_t count) = 0;
-};
-
-/**
  * Fan-out point for one simulated machine. Every device of a Soc holds
  * a pointer to its engine and guards each emission site with
  * `enabled(kind)` — one load plus one bit test when nobody listens.
@@ -210,9 +187,6 @@ class BatchSubscriber
 class TraceEngine
 {
   public:
-    /** Default pending-ring capacity (records) before a forced flush. */
-    static constexpr std::size_t DEFAULT_BATCH_CAPACITY = 256;
-
     /**
      * Attach @p sub for the kinds in @p mask. Subscribing an already
      * attached subscriber replaces its mask.
@@ -221,16 +195,6 @@ class TraceEngine
 
     /** Detach @p sub (no-op when it is not attached). */
     void unsubscribe(Subscriber *sub);
-
-    /**
-     * Attach @p sub as a batch consumer for the kinds in @p mask.
-     * Pending records are flushed first, so a new consumer never sees
-     * events emitted before it attached.
-     */
-    void subscribeBatched(BatchSubscriber *sub, TraceMask mask);
-
-    /** Flush, then detach @p sub (no-op when it is not attached). */
-    void unsubscribeBatched(BatchSubscriber *sub);
 
     /** @return true when at least one subscriber wants @p kind. */
     bool
@@ -242,12 +206,11 @@ class TraceEngine
     /** @return true when any subscriber is attached at all. */
     bool anyEnabled() const { return activeMask_ != 0; }
 
-    /** @return number of attached subscribers (all three classes). */
+    /** @return number of attached subscribers (both classes). */
     std::size_t
     subscriberCount() const
     {
-        return entries_.size() + batchEntries_.size() +
-               (counting_ != nullptr ? 1 : 0);
+        return entries_.size() + (counting_ != nullptr ? 1 : 0);
     }
 
     /**
@@ -260,35 +223,6 @@ class TraceEngine
     /** Drop @p counters as the counting subscription (no-op when it is
      * not the attached one). */
     void detachCounters(const TraceCounters *counters);
-
-    /**
-     * Wire the clock that stamps TraceRecord::tsUs (the Soc does this at
-     * construction). Without a clock, records carry ts 0.
-     */
-    void setClock(const SimClock *clock) { clock_ = clock; }
-
-    /**
-     * Set the pending-ring capacity. 1 disables batching — every record
-     * is delivered immediately, which the parity tests use to prove the
-     * batched stream is identical to the unbatched one.
-     */
-    void setBatchCapacity(std::size_t capacity);
-
-    /** @return records currently waiting in the ring. */
-    std::size_t pendingCount() const { return pending_.size(); }
-
-    /**
-     * Deliver pending records to the batch subscribers. Devices call
-     * this at burst boundaries (end of a bus transaction); sinks call
-     * it from their read accessors. Inline early-out keeps the empty
-     * case — always, with no record sink attached — to one load.
-     */
-    void
-    flushPending()
-    {
-        if (!pending_.empty())
-            flushSlow();
-    }
 
     void emit(MemAccess &event) { emitAs(TraceKind::MemAccess, event); }
     void emit(BusTransfer &event) { emitAs(TraceKind::BusTransfer, event); }
@@ -305,23 +239,16 @@ class TraceEngine
         TraceMask mask;
     };
 
-    struct BatchEntry
-    {
-        BatchSubscriber *sub;
-        TraceMask mask;
-    };
-
     /**
-     * The synchronous pass, then the record append, out of line and only
-     * when a sync or record subscriber wants @p kind; the tally last, so
-     * it sees final response fields and follows any events a sync
-     * callback emitted re-entrantly, as the records do.
+     * The synchronous pass, out of line and only when a subscriber
+     * wants @p kind; the tally last, so it sees final response fields
+     * and follows any events a callback emitted re-entrantly.
      */
     template <typename Payload>
     void
     emitAs(TraceKind kind, Payload &event)
     {
-        if ((dispatchMask_ & maskOf(kind)) != 0)
+        if ((syncMask_ & maskOf(kind)) != 0)
             dispatch(event);
         if (counting_ != nullptr)
             counting_->count(event);
@@ -336,29 +263,18 @@ class TraceEngine
     void dispatch(KcryptdOp &event);
 
     void recomputeMask();
-    void flushSlow();
-    /** Stamp ts/kind on a fresh pending record (payload set by caller),
-     *  then flush when the ring is full. */
-    TraceRecord &appendRecord(TraceKind kind);
-    void commitRecord();
 
     std::vector<Entry> entries_;
-    std::vector<BatchEntry> batchEntries_;
     TraceCounters *counting_ = nullptr;
     TraceMask syncMask_ = 0;
-    TraceMask batchMask_ = 0;
-    TraceMask dispatchMask_ = 0; //!< syncMask_ | batchMask_
-    TraceMask activeMask_ = 0;   //!< dispatchMask_, or all when counting
-    const SimClock *clock_ = nullptr;
-    std::size_t capacity_ = DEFAULT_BATCH_CAPACITY;
-    std::vector<TraceRecord> pending_;
+    TraceMask activeMask_ = 0; //!< syncMask_, or all when counting
 };
 
 /**
  * The engine's counting subscription, as a sink object: owns the
  * TraceCounters the engine tallies into. Deterministic: totals depend
  * only on the simulated event stream, never on host timing or on
- * whether record sinks are attached.
+ * whether a timeline sink is attached.
  */
 class CounterSink
 {
@@ -387,16 +303,22 @@ class CounterSink
 };
 
 /**
- * Batch sink that records a bounded timeline of instant events and
- * writes them as chrome://tracing JSON (load via chrome://tracing or
- * https://ui.perfetto.dev). Timestamps are *simulated* microseconds,
- * stamped at emit time by the engine's clock.
+ * Synchronous sink that records a bounded timeline of instant events
+ * and writes them as chrome://tracing JSON (load via chrome://tracing
+ * or https://ui.perfetto.dev). Timestamps are *simulated* microseconds,
+ * read from the clock given to attach() when each event arrives.
+ *
+ * Ordering rule: attach the sink after every subscriber that fills a
+ * response channel (the fault injector), so each event is recorded
+ * with its final extraWrites/stallSeconds, and events such a
+ * subscriber emits re-entrantly land before the event that caused
+ * them. Subscribers attached later must only observe.
  *
  * With an auto-dump path set, the sink also writes its timeline from
  * the destructor and from the panic() crash path, so a fleet run that
  * dies on an invariant failure still leaves a loadable trace file.
  */
-class ChromeTraceSink : public BatchSubscriber
+class ChromeTraceSink : public Subscriber
 {
   public:
     /** @param maxEvents hard cap; later events are dropped (truncated()). */
@@ -406,10 +328,14 @@ class ChromeTraceSink : public BatchSubscriber
 
     ~ChromeTraceSink() override;
 
-    /** Subscribe to @p engine for the kinds in @p mask. */
-    void attach(TraceEngine &engine, TraceMask mask = TRACE_ALL);
+    /**
+     * Subscribe to @p engine for the kinds in @p mask, stamping events
+     * from @p clock (ts 0 when null).
+     */
+    void attach(TraceEngine &engine, const SimClock *clock,
+                TraceMask mask = TRACE_ALL);
 
-    /** Flush and unsubscribe (no-op when unattached). */
+    /** Unsubscribe (no-op when unattached). */
     void detach();
 
     /**
@@ -423,12 +349,18 @@ class ChromeTraceSink : public BatchSubscriber
     /** Write the recorded timeline; @return false on I/O failure. */
     bool writeJson(const std::string &path) const;
 
-    /** @return captured events, flushing any pending records first. */
-    std::size_t eventCount() const;
+    /** @return captured events. */
+    std::size_t eventCount() const { return events_.size(); }
 
     bool truncated() const { return truncated_; }
 
-    void onRecords(const TraceRecord *records, std::size_t count) override;
+    void onMemAccess(MemAccess &event) override;
+    void onBusTransfer(BusTransfer &event) override;
+    void onCacheEvent(CacheEvent &event) override;
+    void onPowerEvent(PowerEvent &event) override;
+    void onDmaBurst(DmaBurst &event) override;
+    void onCryptoOp(CryptoOp &event) override;
+    void onKcryptdOp(KcryptdOp &event) override;
 
   private:
     struct Event
@@ -442,9 +374,12 @@ class ChromeTraceSink : public BatchSubscriber
     };
 
     static void crashHook(void *self);
-    void syncFromEngine() const;
+    /** Append one event stamped now, or mark the timeline truncated. */
+    void record(TraceKind kind, std::uint64_t arg0, std::uint64_t arg1,
+                double argF, bool flag);
 
     TraceEngine *engine_ = nullptr;
+    const SimClock *clock_ = nullptr;
     std::size_t maxEvents_;
     bool truncated_ = false;
     std::string autoDumpPath_;

@@ -1,6 +1,8 @@
 #include "fault/fault.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -53,8 +55,8 @@ parseU64(const std::string &token, unsigned line, const char *what)
     errno = 0;
     char *end = nullptr;
     const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || token.empty() ||
-        token[0] == '-')
+    if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0])) ||
+        errno != 0 || *end != '\0')
         throw FaultParseError(line, std::string("malformed ") + what +
                                         " '" + token + "'");
     return value;
@@ -66,7 +68,12 @@ parseSeconds(const std::string &token, unsigned line)
     errno = 0;
     char *end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0' || token.empty())
+    // A sign, "nan" or "inf" cannot start with a digit or '.', and a
+    // NaN would pass the range check below (every comparison is false).
+    if (token.empty() ||
+        !(std::isdigit(static_cast<unsigned char>(token[0])) ||
+          token[0] == '.') ||
+        errno != 0 || *end != '\0' || !std::isfinite(value))
         throw FaultParseError(line,
                               "malformed seconds '" + token + "'");
     if (value <= 0.0 || value > MAX_SECONDS)

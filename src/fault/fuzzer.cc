@@ -1,5 +1,7 @@
 #include "fault/fuzzer.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -467,7 +469,9 @@ parseTrialFile(const std::string &text)
 
     std::istringstream stream(text);
     std::string raw;
+    unsigned lineNo = 0;
     while (std::getline(stream, raw)) {
+        ++lineNo;
         if (!raw.empty() && raw.back() == '\r')
             raw.pop_back();
         std::string trimmed = raw;
@@ -490,11 +494,16 @@ parseTrialFile(const std::string &text)
             std::string key, value;
             line >> key >> value;
             if (key == "seed") {
+                // Digits only up front: strtoull would wrap "-1".
+                errno = 0;
                 char *end = nullptr;
                 file.spec.seed = std::strtoull(value.c_str(), &end, 0);
-                if (end == nullptr || *end != '\0' || value.empty())
-                    throw std::runtime_error("malformed seed '" + value +
-                                             "'");
+                if (value.empty() ||
+                    !std::isdigit(static_cast<unsigned char>(value[0])) ||
+                    errno != 0 || *end != '\0')
+                    throw std::runtime_error(
+                        "line " + std::to_string(lineNo) +
+                        ": malformed seed '" + value + "'");
                 haveSeed = true;
             } else if (key == "spawn") {
                 if (value != "snapshot" && value != "cold-boot")

@@ -206,13 +206,15 @@ class Runner
                 *options_.faultSchedule, seed_ ^ 0xfa017a5e5ca1ab1eULL);
             injector_->arm(device_->soc());
         }
-        // Attach after the injector so fault effects land before the
-        // counters record each transaction (subscription order is
-        // callback order).
+        // The counting tally runs after every subscriber. The timeline
+        // sink subscribes after the injector, which fills the response
+        // channels (subscription order is callback order), so it records
+        // final values; attack probes subscribe later and only observe.
         counters_.attach(device_->soc().trace());
         if (index_ == 0 && !options_.traceOutPath.empty()) {
             chromeSink_ = std::make_unique<probe::ChromeTraceSink>();
-            chromeSink_->attach(device_->soc().trace());
+            chromeSink_->attach(device_->soc().trace(),
+                                &device_->soc().clock());
             // A run that dies on an invariant panic (or simply never
             // reaches the explicit writeJson) still dumps its timeline.
             chromeSink_->setAutoDump(options_.traceOutPath);

@@ -1,6 +1,7 @@
 #include "fleet/scenario.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,6 +67,26 @@ splitNumberSuffix(const std::string &token, std::string &number,
         ++i;
     number = token.substr(0, i);
     suffix = token.substr(i);
+}
+
+/** Parse the @p what count directive's value, in [1, @p max]. Only
+ * digits: strtoull would wrap a leading '-' ("-1" is 2^64 - 1). */
+unsigned
+parseCount(const std::string &token, unsigned line, const char *what,
+           unsigned long long max)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(token.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(token[0])) || errno != 0 ||
+        *end != '\0')
+        throw ScenarioError(line, std::string("malformed ") + what +
+                                      " count '" + token + "'");
+    if (n < 1 || n > max)
+        throw ScenarioError(line, std::string(what) + " count " + token +
+                                      " out of range (1.." +
+                                      std::to_string(max) + ")");
+    return static_cast<unsigned>(n);
 }
 
 } // namespace
@@ -207,37 +228,15 @@ parseScenario(const std::string &text, const std::string &name)
         if (opcode == "devices") {
             if (argc != 1)
                 throw ScenarioError(lineNo, "devices takes one count");
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(tokens[1].c_str(), &end, 10);
-            if (errno != 0 || end == nullptr || *end != '\0')
-                throw ScenarioError(lineNo, "malformed device count '" +
-                                                tokens[1] + "'");
-            if (n < 1 || n > MAX_DEVICES)
-                throw ScenarioError(
-                    lineNo, "device count " + tokens[1] +
-                                " out of range (1.." +
-                                std::to_string(MAX_DEVICES) + ")");
-            scenario.defaultDevices = static_cast<unsigned>(n);
+            scenario.defaultDevices =
+                parseCount(tokens[1], lineNo, "device", MAX_DEVICES);
             continue;
         }
         if (opcode == "shards") {
             if (argc != 1)
                 throw ScenarioError(lineNo, "shards takes one count");
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(tokens[1].c_str(), &end, 10);
-            if (errno != 0 || end == nullptr || *end != '\0')
-                throw ScenarioError(lineNo, "malformed shard count '" +
-                                                tokens[1] + "'");
-            if (n < 1 || n > MAX_SHARDS)
-                throw ScenarioError(
-                    lineNo, "shard count " + tokens[1] +
-                                " out of range (1.." +
-                                std::to_string(MAX_SHARDS) + ")");
-            scenario.defaultShards = static_cast<unsigned>(n);
+            scenario.defaultShards =
+                parseCount(tokens[1], lineNo, "shard", MAX_SHARDS);
             continue;
         }
         if (opcode == "audits") {
@@ -275,7 +274,12 @@ parseScenario(const std::string &text, const std::string &name)
             errno = 0;
             char *end = nullptr;
             const double pct = std::strtod(tokens[1].c_str(), &end);
-            if (errno != 0 || end == nullptr || *end != '\0')
+            // A sign, "nan" or "inf" cannot start with a digit or '.',
+            // and a NaN would pass the range check below.
+            const char first = tokens[1][0];
+            if (!(std::isdigit(static_cast<unsigned char>(first)) ||
+                  first == '.') ||
+                errno != 0 || *end != '\0' || !std::isfinite(pct))
                 throw ScenarioError(lineNo, "malformed jitter '" +
                                                 tokens[1] + "'");
             if (pct < 0.0 || pct > 90.0)

@@ -380,8 +380,8 @@ hostInfoString()
     out += "\nbytes kernel:   ";
     out += k.bytes.tier;
     out += "  (fleet audit scans, remanence pattern counts and decay)";
-    out += "\ntrace emission: batched per bus burst (sync subscribers "
-           "dispatch inline)";
+    out += "\ntrace emission: synchronous subscribers inline, then the "
+           "counting tally";
     out += "\n";
     return out;
 }

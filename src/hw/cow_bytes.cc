@@ -251,4 +251,42 @@ CowBytes::zeroAll()
     base_.reset();
 }
 
+std::string
+CowBytes::checkConsistency() const
+{
+    const auto at = [](const char *what, std::size_t page) {
+        return std::string(what) + " (page " + std::to_string(page) + ")";
+    };
+    std::size_t privates = 0;
+    for (std::size_t page = 0; page < nPages_; ++page) {
+        if (private_[page]) {
+            ++privates;
+            if (readPtr_[page] != localPage(page))
+                return at("private page reads shared storage", page);
+            continue;
+        }
+        const std::uint8_t *shared =
+            base_ != nullptr ? base_->page(page) : nullptr;
+        if (readPtr_[page] != (shared != nullptr ? shared : zeroPage()))
+            return at("shared page reads neither its image nor zeros",
+                      page);
+    }
+    if (privates != privateCount_)
+        return "privatePages() is " + std::to_string(privateCount_) +
+               ", " + std::to_string(privates) + " pages are private";
+    std::vector<std::uint8_t> journaled(nPages_, 0);
+    for (const std::size_t page : privatized_) {
+        if (page >= nPages_ || !private_[page])
+            return at("journal holds a page that is not private", page);
+        if (journaled[page]++ != 0)
+            return at("journal holds a page twice", page);
+    }
+    // contiguous() privatizes every page without journaling it.
+    if (privatized_.size() != privateCount_ && privateCount_ != nPages_)
+        return "journal misses " +
+               std::to_string(privateCount_ - privatized_.size()) +
+               " private pages";
+    return {};
+}
+
 } // namespace sentry::hw

@@ -41,6 +41,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -193,6 +194,16 @@ class CowBytes
 
     /** The shared all-zero page backing Zero-state reads. */
     static const std::uint8_t *zeroPage();
+
+    /**
+     * Check the page bookkeeping, for tests (it walks every page):
+     * privatePages() counts the Private pages; Private pages read their
+     * local storage and the others the zero page or the adopted image;
+     * the journal holds distinct Private pages and, unless contiguous()
+     * made every page Private since the last adopt(), all of them.
+     * @return an empty string, or the first inconsistency found.
+     */
+    std::string checkConsistency() const;
 
   private:
     void readSlow(std::size_t offset, std::uint8_t *out,

@@ -165,6 +165,9 @@ class Dram : public BusTarget
      * fork's dirty-page count). */
     std::size_t dirtyPages() const { return data_.privatePages(); }
 
+    /** The copy-on-write cell array, for consistency checks. */
+    const CowBytes &cells() const { return data_; }
+
     /** Apply cell decay for a power loss of @p off_seconds, page by
      * page: the array stays copy-on-write (RemanenceModel::decay). */
     void powerLoss(double off_seconds, double celsius, Rng &rng);

@@ -94,6 +94,9 @@ class Iram
     /** @return pages privatized since the last adoptImage(). */
     std::size_t dirtyPages() const { return data_.privatePages(); }
 
+    /** The copy-on-write cell array, for consistency checks. */
+    const CowBytes &cells() const { return data_; }
+
     /** Apply SRAM cell decay for a power loss. */
     void powerLoss(double off_seconds, double celsius, Rng &rng);
 

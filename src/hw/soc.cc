@@ -137,7 +137,6 @@ Soc::Soc(const PlatformConfig &config)
       dma_(clock_, bus_, iram_, tz_), cpu_(clock_), firmware_(config.boot),
       memory_(clock_, iram_, l2_, config.timing)
 {
-    trace_.setClock(&clock_);
     dram_.setTraceEngine(&trace_);
     iram_.setTraceEngine(&trace_);
     bus_.setTraceEngine(&trace_);

@@ -191,10 +191,10 @@ class Soc
     /**
      * The machine's single observation spine: every device of this Soc
      * fires its trace points here. Subscribe a probe::Subscriber (the
-     * fault injector, a bus monitor) to observe or perturb the machine,
-     * or attach a ChromeTraceSink or a CounterSink to record or count
-     * it; with no subscribers every emission site early-outs at one
-     * pointer + bit test.
+     * fault injector, a bus monitor, a ChromeTraceSink) to observe or
+     * perturb the machine; subscribers run in subscription order, then
+     * an attached CounterSink counts the event. With no subscribers
+     * every emission site early-outs at one pointer + bit test.
      */
     probe::TraceEngine &trace() { return trace_; }
     const probe::TraceEngine &trace() const { return trace_; }

@@ -74,6 +74,7 @@ TEST(CowBytes, WritePrivatizesOnlyTouchedPages)
     // Rewriting the same page does not inflate the dirty count.
     bytes.write(2 * PAGE_SIZE, data.data(), data.size());
     EXPECT_EQ(bytes.privatePages(), 1u);
+    EXPECT_EQ(bytes.checkConsistency(), "");
 }
 
 TEST(CowBytes, CrossPageReadWriteHitSlowPath)
@@ -515,6 +516,7 @@ expectLikeFreshAdopt(const CowBytes &bytes,
 {
     CowBytes fresh(bytes.size());
     fresh.adopt(image);
+    EXPECT_EQ(bytes.checkConsistency(), "") << what;
     EXPECT_TRUE(readAll(bytes) == readAll(fresh)) << what;
     EXPECT_EQ(bytes.privatePages(), 0u) << what;
     for (std::size_t page = 0; page < bytes.pageCount(); ++page)
@@ -567,6 +569,7 @@ TEST(CowBytes, ReadoptOfSameImageMatchesFreshAdopt)
         case 3: // nothing written at all
             break;
         }
+        EXPECT_EQ(bytes.checkConsistency(), "") << what;
         // Every third round detours through the other image first.
         if (round % 3 == 2) {
             bytes.adopt(imageB);
@@ -606,7 +609,9 @@ TEST(CowBytes, DramReadoptAfterPowerLossMatchesFreshAdopt)
         dram.busWrite(20 * PAGE_SIZE + 5, dirt, sizeof dirt);
         // Decays (and materializes) every page, then re-adopt.
         dram.powerLoss(30.0, 20.0, rng);
+        EXPECT_EQ(dram.cells().checkConsistency(), "") << what;
         dram.adoptImage(image);
+        EXPECT_EQ(dram.cells().checkConsistency(), "") << what;
 
         Dram fresh(size);
         fresh.adoptImage(image);

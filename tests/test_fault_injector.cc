@@ -156,6 +156,7 @@ TEST_F(InjectorFixture, IramBitFlipCorruptsOnSocSram)
     soc.iram().write(0, buf, sizeof(buf));
     EXPECT_EQ(injector.stats().firings, 1u);
     EXPECT_EQ(injector.stats().iramOps, 1u);
+    EXPECT_EQ(soc.iram().cells().checkConsistency(), "");
     EXPECT_GE(setBits(soc.iramRaw()), 1u);
 }
 
@@ -358,19 +359,24 @@ TEST_F(InjectorFixture, DramBitFlipsStayCopyOnWrite)
     EXPECT_TRUE(dramCells(device.dram()) == want);
     EXPECT_GE(device.dram().dirtyPages(), 1u);
     EXPECT_LE(device.dram().dirtyPages(), flips);
+    EXPECT_EQ(device.dram().cells().checkConsistency(), "");
 
     // Re-forking after the flips restores the image.
     device.forkFrom(snap);
     const std::vector<std::uint8_t> fresh = dramCells(soc.dram());
     EXPECT_EQ(device.dram().dirtyPages(), 0u);
+    EXPECT_EQ(device.dram().cells().checkConsistency(), "");
     EXPECT_TRUE(dramCells(device.dram()) == fresh);
 
     // A power loss keeps the array copy-on-write too, and re-forking
     // after it restores the image again.
     device.powerCycle(0.007);
     EXPECT_LT(device.dram().dirtyPages(), device.dram().size() / PAGE_SIZE);
+    EXPECT_EQ(device.dram().cells().checkConsistency(), "");
+    EXPECT_EQ(device.iram().cells().checkConsistency(), "");
     EXPECT_FALSE(dramCells(device.dram()) == fresh);
     device.forkFrom(snap);
     EXPECT_EQ(device.dram().dirtyPages(), 0u);
+    EXPECT_EQ(device.dram().cells().checkConsistency(), "");
     EXPECT_TRUE(dramCells(device.dram()) == fresh);
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/fault.hh"
 
 using namespace sentry;
@@ -117,6 +119,33 @@ TEST(FaultSchedule, RejectsOutOfRangeMagnitudes)
     EXPECT_THROW(
         parseFaultSchedule("fault dma_burst after 1 bytes 999999999\n"),
         FaultParseError);
+}
+
+TEST(FaultSchedule, RejectsNonFiniteAndSignedNumbers)
+{
+    // NaN compares false against both range bounds, and strtoull wraps
+    // a leading '-': each must be a line-numbered error instead.
+    for (const char *bad :
+         {"fault kcryptd_stall after 1 seconds nan\n",
+          "fault kcryptd_stall after 1 seconds inf\n",
+          "fault kcryptd_stall after 1 seconds +0.5\n",
+          "fault kcryptd_stall after 1 seconds -0.5\n",
+          "fault dram_bit_flip after -18446744073709551615\n",
+          "fault dram_bit_flip after +3\n",
+          "fault bus_delay after 1 cycles -64\n"}) {
+        SCOPED_TRACE(bad);
+        try {
+            parseFaultSchedule(std::string("fault bus_delay after 1\n") +
+                               bad);
+            ADD_FAILURE() << "expected FaultParseError";
+        } catch (const FaultParseError &e) {
+            EXPECT_EQ(e.line(), 2u);
+        }
+    }
+    const FaultSchedule ok =
+        parseFaultSchedule("fault kcryptd_stall after 1 seconds .5\n");
+    ASSERT_EQ(ok.faults.size(), 1u);
+    EXPECT_DOUBLE_EQ(ok.faults[0].seconds, 0.5);
 }
 
 TEST(FaultSchedule, FormatParsesBackToAnEquivalentSchedule)

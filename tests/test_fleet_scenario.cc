@@ -136,6 +136,23 @@ TEST(FleetScenario, DeviceCountOutOfRangeReportsLine)
               std::string::npos);
 }
 
+TEST(FleetScenario, SignedAndNonFiniteNumbersReportLine)
+{
+    // strtoull wraps a leading '-' (this one to 1) and a NaN jitter
+    // passes both range checks; each is a line-numbered error.
+    EXPECT_EQ(parseFailure("lock\ndevices -18446744073709551615\n").line(),
+              2u);
+    EXPECT_EQ(parseFailure("devices +4\nlock\n").line(), 1u);
+    EXPECT_EQ(parseFailure("lock\nshards -18446744073709551615\n").line(),
+              2u);
+    EXPECT_EQ(parseFailure("lock\njitter nan\n").line(), 2u);
+    EXPECT_EQ(parseFailure("jitter inf\nlock\n").line(), 1u);
+    EXPECT_EQ(parseFailure("jitter -0\nlock\n").line(), 1u);
+    EXPECT_EQ(parseFailure("jitter +5\nlock\n").line(), 1u);
+    EXPECT_DOUBLE_EQ(parseScenario("jitter .5\nlock\n", "t").jitter,
+                     0.005);
+}
+
 TEST(FleetScenario, SemanticErrorsReportLine)
 {
     // background without sensitive

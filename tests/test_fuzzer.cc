@@ -176,8 +176,20 @@ TEST(Fuzzer, ParseTrialFileRejectsMalformedInput)
     // The seed line is mandatory.
     EXPECT_THROW(parseTrialFile("[scenario]\nlock\n"),
                  std::runtime_error);
-    // Seeds must be numbers.
+    // Seeds must be numbers, with no sign (strtoull wraps "-1") and in
+    // range; the error names the line.
     EXPECT_THROW(parseTrialFile("seed banana\n"), std::runtime_error);
+    for (const char *bad : {"seed -1\n", "seed +1\n",
+                            "seed 0x10000000000000000\n"}) {
+        try {
+            parseTrialFile(std::string("# repro\n") + bad);
+            ADD_FAILURE() << "expected an error for " << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     // The verdict must be ok or fail.
     EXPECT_THROW(parseTrialFile("seed 0x1\nexpect maybe\n"),
                  std::runtime_error);

@@ -328,6 +328,7 @@ TEST_P(PageBatchedDecay, CowBytesMatchesFlatLoop)
                     referenceDecay(model, want, c.offSeconds, c.celsius,
                                    refRng);
                 model.decay(memory, c.offSeconds, c.celsius, rng);
+                EXPECT_EQ(memory.checkConsistency(), "") << what;
 
                 std::vector<std::uint8_t> got(size);
                 memory.read(0, got.data(), size);
@@ -347,6 +348,7 @@ TEST_P(PageBatchedDecay, CowBytesMatchesFlatLoop)
                 // The decayed pages are journaled: a re-adopt is the
                 // fresh image again.
                 memory.adopt(mix.image);
+                EXPECT_EQ(memory.checkConsistency(), "") << what;
                 CowBytes fresh(size);
                 fresh.adopt(mix.image);
                 EXPECT_EQ(memory.privatePages(), 0u) << what;

@@ -9,16 +9,18 @@
  * legitimately reads pinned state without calling Iram::read, so its
  * MemAccess counts differ by design (DESIGN.md §9).
  *
- * The inline counting subscription is checked against a record-path
- * reference (RecordTallySink: every record, delivered one at a time,
- * tallied kind by kind) on plain traffic and on fuzz trials with
- * faults armed — every TraceCounters field, the doubles by their bits.
+ * The inline counting subscription is checked against a reference
+ * subscriber (RecordTallySink: every event tallied kind by kind) on
+ * plain traffic and on fuzz trials with faults armed — every
+ * TraceCounters field, the doubles by their bits.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -147,7 +149,7 @@ TEST(ChromeTraceSink, RecordsTimelineAndWritesJson)
 {
     Soc soc(PlatformConfig::tegra3(16 * MiB));
     probe::ChromeTraceSink sink(1024);
-    sink.attach(soc.trace());
+    sink.attach(soc.trace(), &soc.clock());
     soc.memory().write32(DRAM_BASE + 0x40, 0xdeadbeefu);
     sink.detach();
     ASSERT_GT(sink.eventCount(), 0u);
@@ -168,7 +170,7 @@ TEST(ChromeTraceSink, TruncatesAtTheEventCap)
 {
     Soc soc(PlatformConfig::tegra3(16 * MiB));
     probe::ChromeTraceSink sink(4);
-    sink.attach(soc.trace());
+    sink.attach(soc.trace(), &soc.clock());
     for (unsigned i = 0; i < 8; ++i)
         soc.memory().write32(DRAM_BASE + 0x40 + 64 * i, i);
     sink.detach();
@@ -260,125 +262,95 @@ INSTANTIATE_TEST_SUITE_P(Placements, TraceParityTest,
 namespace
 {
 
-/** Batch sink that renders every record to a comparable event stream. */
-struct RecordingBatchSink : probe::BatchSubscriber
+/**
+ * The reference tally: a synchronous subscriber that counts every event
+ * kind by kind. Subscribed after every response writer it sees final
+ * response fields, as the inline tally does.
+ */
+struct RecordTallySink : probe::Subscriber
 {
     void
-    onRecords(const probe::TraceRecord *records,
-              std::size_t count) override
+    onMemAccess(probe::MemAccess &event) override
     {
-        ++batches;
-        for (std::size_t i = 0; i < count; ++i) {
-            const probe::TraceRecord &r = records[i];
-            char buf[160];
-            switch (r.kind) {
-              case probe::TraceKind::MemAccess:
-                std::snprintf(buf, sizeof buf, "mem %d %d %llx %zu",
-                              static_cast<int>(r.mem.device),
-                              r.mem.isWrite ? 1 : 0,
-                              static_cast<unsigned long long>(r.mem.offset),
-                              r.mem.len);
-                break;
-              case probe::TraceKind::BusTransfer:
-                std::snprintf(buf, sizeof buf, "bus %llx %u %d %d %u %p",
-                              static_cast<unsigned long long>(r.bus.addr),
-                              r.bus.size, r.bus.isWrite ? 1 : 0,
-                              r.bus.duplicate ? 1 : 0, r.bus.extraWrites,
-                              static_cast<const void *>(r.bus.data));
-                break;
-              case probe::TraceKind::CacheEvent:
-                std::snprintf(buf, sizeof buf, "wb %u %d %llx",
-                              r.cache.way, r.cache.wayLocked ? 1 : 0,
-                              static_cast<unsigned long long>(
-                                  r.cache.addr));
-                break;
-              case probe::TraceKind::PowerEvent:
-                std::snprintf(buf, sizeof buf, "pw %s %.9g",
-                              r.power.category, r.power.joules);
-                break;
-              case probe::TraceKind::DmaBurst:
-                std::snprintf(buf, sizeof buf, "dma %llx %zu %d",
-                              static_cast<unsigned long long>(r.dma.addr),
-                              r.dma.len, r.dma.isWrite ? 1 : 0);
-                break;
-              case probe::TraceKind::CryptoOp:
-                std::snprintf(buf, sizeof buf, "co %zu %d",
-                              r.crypto.bytes, r.crypto.encrypt ? 1 : 0);
-                break;
-              default:
-                std::snprintf(buf, sizeof buf, "kc %.9g",
-                              r.kcryptd.stallSeconds);
-                break;
-            }
-            char ts[48];
-            std::snprintf(ts, sizeof ts, " @%.3f\n", r.tsUs);
-            stream += buf;
-            stream += ts;
+        if (event.device == probe::MemAccess::Device::Dram)
+            ++(event.isWrite ? counters.dramWrites : counters.dramReads);
+        else
+            ++(event.isWrite ? counters.iramWrites : counters.iramReads);
+    }
+
+    void
+    onBusTransfer(probe::BusTransfer &event) override
+    {
+        if (event.duplicate)
+            ++counters.busDuplicates;
+        if (event.isWrite) {
+            ++counters.busWrites;
+            counters.busWriteBytes += event.size;
+        } else {
+            ++counters.busReads;
+            counters.busReadBytes += event.size;
         }
     }
 
-    std::string stream;
-    unsigned batches = 0;
-};
-
-/**
- * The record-path reference tally: a batch sink that counts every
- * TraceRecord kind by kind. Attached at capacity 1 it sees each record
- * as soon as it is committed.
- */
-struct RecordTallySink : probe::BatchSubscriber
-{
-    void
-    onRecords(const probe::TraceRecord *records,
-              std::size_t count) override
+    void onCacheEvent(probe::CacheEvent &) override
     {
-        probe::TraceCounters &c = counters;
-        for (std::size_t i = 0; i < count; ++i) {
-            const probe::TraceRecord &r = records[i];
-            switch (r.kind) {
-              case probe::TraceKind::MemAccess:
-                if (r.mem.device == probe::MemAccess::Device::Dram)
-                    ++(r.mem.isWrite ? c.dramWrites : c.dramReads);
-                else
-                    ++(r.mem.isWrite ? c.iramWrites : c.iramReads);
-                break;
-              case probe::TraceKind::BusTransfer:
-                if (r.bus.duplicate)
-                    ++c.busDuplicates;
-                if (r.bus.isWrite) {
-                    ++c.busWrites;
-                    c.busWriteBytes += r.bus.size;
-                } else {
-                    ++c.busReads;
-                    c.busReadBytes += r.bus.size;
-                }
-                break;
-              case probe::TraceKind::CacheEvent:
-                ++c.cacheWritebacks;
-                break;
-              case probe::TraceKind::PowerEvent:
-                ++c.powerEvents;
-                c.joules += r.power.joules;
-                break;
-              case probe::TraceKind::DmaBurst:
-                ++c.dmaBursts;
-                c.dmaBytes += r.dma.len;
-                break;
-              case probe::TraceKind::CryptoOp:
-                ++c.cryptoOps;
-                c.cryptoBytes += r.crypto.bytes;
-                break;
-              case probe::TraceKind::KcryptdOp:
-                ++c.kcryptdBlocks;
-                c.kcryptdStallSeconds += r.kcryptd.stallSeconds;
-                break;
-              default:
-                break;
-            }
+        ++counters.cacheWritebacks;
+    }
+
+    void
+    onPowerEvent(probe::PowerEvent &event) override
+    {
+        ++counters.powerEvents;
+        counters.joules += event.joules;
+    }
+
+    void
+    onDmaBurst(probe::DmaBurst &event) override
+    {
+        ++counters.dmaBursts;
+        counters.dmaBytes += event.len;
+    }
+
+    void
+    onCryptoOp(probe::CryptoOp &event) override
+    {
+        ++counters.cryptoOps;
+        counters.cryptoBytes += event.bytes;
+    }
+
+    void
+    onKcryptdOp(probe::KcryptdOp &event) override
+    {
+        ++counters.kcryptdBlocks;
+        counters.kcryptdStallSeconds += event.stallSeconds + stallFor();
+    }
+
+    /**
+     * Stall the schedule's kcryptd_stall faults add to the current
+     * block, for a reference subscribed ahead of the injector (which
+     * then writes the response only after this tally ran): the
+     * injector's sum over due specs, in schedule order. 0 without a
+     * schedule.
+     */
+    double
+    stallFor() const
+    {
+        if (schedule == nullptr)
+            return 0.0;
+        const std::uint64_t n = counters.kcryptdBlocks;
+        double stall = 0.0;
+        for (const fault::FaultSpec &spec : schedule->faults) {
+            const bool due = n == spec.after ||
+                             (spec.every != 0 && n > spec.after &&
+                              (n - spec.after) % spec.every == 0);
+            if (spec.kind == fault::FaultKind::KcryptdStall && due)
+                stall += spec.seconds;
         }
+        return stall;
     }
 
     probe::TraceCounters counters;
+    const fault::FaultSchedule *schedule = nullptr;
 };
 
 /** Every TraceCounters field must match; doubles by their bits. */
@@ -435,124 +407,144 @@ driveWorkload(Soc &soc)
     soc.memory().write32(IRAM_BASE + 0x80, 0xabcdef01u);
 }
 
+/** One event line of a ChromeTraceSink timeline file. */
+struct TimelineEvent
+{
+    std::string name;
+    std::string ts; //!< as printed (%.3f simulated microseconds)
+    unsigned long long a = 0;
+    unsigned long long b = 0;
+    double f = 0.0;
+    bool w = false;
+};
+
+/** Parse the one-event-per-line JSON that ChromeTraceSink writes. */
+std::vector<TimelineEvent>
+readTimeline(const std::string &path)
+{
+    std::vector<TimelineEvent> events;
+    std::ifstream in(path);
+    std::string line;
+    const auto field = [&line](const char *key) {
+        const std::size_t at = line.find(key) + std::strlen(key);
+        return line.substr(at, line.find_first_of(",}", at) - at);
+    };
+    while (std::getline(in, line)) {
+        if (line.find("\"name\":\"") == std::string::npos)
+            continue;
+        TimelineEvent e;
+        e.name = field("\"name\":\"");
+        e.name.pop_back(); // closing quote
+        e.ts = field("\"ts\":");
+        e.a = std::strtoull(field("\"a\":").c_str(), nullptr, 10);
+        e.b = std::strtoull(field("\"b\":").c_str(), nullptr, 10);
+        e.f = std::strtod(field("\"f\":").c_str(), nullptr);
+        e.w = field("\"w\":") == "true";
+        events.push_back(e);
+    }
+    return events;
+}
+
 } // namespace
 
-TEST(TraceBatching, BatchedStreamMatchesUnbatchedStream)
+TEST(ChromeTraceSink, RecordsFinalResponsesInEmissionOrder)
 {
-    // Capacity 1 delivers every record immediately (the pre-batching
-    // behaviour); the default capacity coalesces per bus burst. Both
-    // must produce byte-identical event streams — batching may change
-    // *when* sinks run, never *what* they see.
-    RecordingBatchSink unbatched, batched;
-    std::string unbatchedStream, batchedStream;
-    {
-        Soc soc(PlatformConfig::tegra3(16 * MiB));
-        soc.trace().setBatchCapacity(1);
-        soc.trace().subscribeBatched(&unbatched, probe::TRACE_ALL);
-        driveWorkload(soc);
-        soc.trace().unsubscribeBatched(&unbatched);
-    }
-    {
-        Soc soc(PlatformConfig::tegra3(16 * MiB));
-        soc.trace().subscribeBatched(&batched, probe::TRACE_ALL);
-        driveWorkload(soc);
-        soc.trace().unsubscribeBatched(&batched);
-    }
-    EXPECT_EQ(unbatched.stream, batched.stream);
-    EXPECT_FALSE(batched.stream.empty());
-    // Batching actually coalesced: fewer deliveries for the same events.
-    EXPECT_LT(batched.batches, unbatched.batches);
-}
-
-TEST(TraceBatching, CounterTotalsMatchBetweenCapacities)
-{
-    // A record consumer that tallies must reach the same totals whether
-    // the ring delivers per event or per burst.
-    probe::TraceCounters unbatched, batched;
-    {
-        Soc soc(PlatformConfig::tegra3(16 * MiB));
-        soc.trace().setBatchCapacity(1);
-        RecordTallySink sink;
-        soc.trace().subscribeBatched(&sink, probe::TRACE_ALL);
-        driveWorkload(soc);
-        soc.trace().unsubscribeBatched(&sink);
-        unbatched = sink.counters;
-    }
-    {
-        Soc soc(PlatformConfig::tegra3(16 * MiB));
-        RecordTallySink sink;
-        soc.trace().subscribeBatched(&sink, probe::TRACE_ALL);
-        driveWorkload(soc);
-        soc.trace().unsubscribeBatched(&sink);
-        batched = sink.counters;
-    }
-    EXPECT_EQ(unbatched.summary(), batched.summary());
-    EXPECT_GT(batched.memOps(), 0u);
-}
-
-TEST(TraceBatching, ReadersSeeNoStalePrefix)
-{
-    // eventCount() must flush the pending ring: a mid-burst reader sees
-    // every event emitted so far, not just the flushed prefix.
+    // The sink subscribes after the response writers, as the device
+    // runner attaches it after the fault injector: it records each bus
+    // write's replay right after the original, the final stall, and the
+    // simulated clock at each event.
     Soc soc(PlatformConfig::tegra3(16 * MiB));
-    probe::ChromeTraceSink sink(1024);
-    sink.attach(soc.trace());
-    soc.memory().write32(IRAM_BASE + 0x40, 1u); // no bus burst: stays pending
-    EXPECT_EQ(soc.trace().pendingCount(), 1u);
-    EXPECT_EQ(sink.eventCount(), 1u);
-    EXPECT_EQ(soc.trace().pendingCount(), 0u);
-}
-
-TEST(TraceBatching, DetachFlushesAndStopsDelivery)
-{
-    Soc soc(PlatformConfig::tegra3(16 * MiB));
-    RecordingBatchSink sink;
-    soc.trace().subscribeBatched(&sink, probe::TRACE_ALL);
-    soc.memory().write32(IRAM_BASE + 0x40, 1u);
-    soc.trace().unsubscribeBatched(&sink); // flushes the pending record
-    const std::string frozen = sink.stream;
-    EXPECT_FALSE(frozen.empty());
-    EXPECT_FALSE(soc.trace().anyEnabled());
-    soc.memory().write32(IRAM_BASE + 0x44, 2u);
-    EXPECT_EQ(sink.stream, frozen);
-}
-
-TEST(TraceBatching, SyncSubscribersRunBeforeTheSnapshot)
-{
-    // Response fields written by synchronous subscribers must be
-    // visible in the batched record (snapshot happens after the sync
-    // pass) — the fuzzer's stall accounting depends on it.
-    probe::TraceEngine engine;
     std::string log;
-    TaggingSubscriber sync(&log, 's');
-    RecordingBatchSink batch;
-    engine.subscribe(&sync, probe::maskOf(probe::TraceKind::KcryptdOp));
-    engine.subscribeBatched(&batch,
-                            probe::maskOf(probe::TraceKind::KcryptdOp));
+    DuplicatingSubscriber duplicator;
+    TaggingSubscriber staller(&log, 's');
+    soc.trace().subscribe(&duplicator,
+                          probe::maskOf(probe::TraceKind::BusTransfer));
+    soc.trace().subscribe(&staller,
+                          probe::maskOf(probe::TraceKind::KcryptdOp));
+    probe::ChromeTraceSink sink(1 << 16);
+    sink.attach(soc.trace(), &soc.clock());
 
+    driveWorkload(soc);
+    soc.l2().cleanAllMasked();
+    soc.clock().advanceSeconds(0.25);
+    char kcryptdTs[32];
+    std::snprintf(kcryptdTs, sizeof kcryptdTs, "%.3f",
+                  soc.clock().seconds() * 1e6);
+    probe::KcryptdOp stall{0.5};
+    soc.trace().emit(stall);
+    sink.detach();
+    soc.trace().unsubscribe(&staller);
+    soc.trace().unsubscribe(&duplicator);
+    EXPECT_EQ(log, "s");
+
+    const std::string path = "test_trace_engine_order.json";
+    ASSERT_TRUE(sink.writeJson(path));
+    const std::vector<TimelineEvent> events = readTimeline(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(events.size(), sink.eventCount());
+    EXPECT_FALSE(sink.truncated());
+
+    std::vector<const TimelineEvent *> bus;
+    for (const TimelineEvent &e : events) {
+        if (e.name == "bus-transfer")
+            bus.push_back(&e);
+    }
+    unsigned originals = 0;
+    for (std::size_t i = 0; i < bus.size(); ++i) {
+        const bool duplicate = (bus[i]->b >> 32) != 0;
+        if (!bus[i]->w || duplicate)
+            continue;
+        ++originals;
+        ASSERT_LT(i + 1, bus.size());
+        EXPECT_EQ(bus[i + 1]->b >> 32, 1u) << "write " << i;
+        EXPECT_EQ(bus[i + 1]->a, bus[i]->a) << "write " << i;
+        EXPECT_EQ(bus[i + 1]->b & 0xffffffffu, bus[i]->b) << "write " << i;
+    }
+    EXPECT_GT(originals, 0u);
+    unsigned duplicates = 0;
+    for (const TimelineEvent *e : bus)
+        duplicates += static_cast<unsigned>(e->b >> 32);
+    EXPECT_EQ(duplicates, originals);
+
+    // Timestamps are the clock at each event: non-decreasing, and the
+    // last event is the kcryptd block emitted at the advanced clock.
+    for (std::size_t i = 1; i < events.size(); ++i)
+        EXPECT_LE(std::strtod(events[i - 1].ts.c_str(), nullptr),
+                  std::strtod(events[i].ts.c_str(), nullptr));
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().name, "kcryptd-op");
+    EXPECT_DOUBLE_EQ(events.back().f, 1.5);
+    EXPECT_EQ(events.back().ts, kcryptdTs);
+}
+
+TEST(ChromeTraceSink, WithoutAClockStampsZero)
+{
+    probe::TraceEngine engine;
+    probe::ChromeTraceSink sink(16);
+    sink.attach(engine, nullptr);
     probe::KcryptdOp event{0.0};
     engine.emit(event);
-    engine.flushPending();
-    EXPECT_EQ(log, "s");
-    EXPECT_NE(batch.stream.find("kc 1"), std::string::npos);
-
-    engine.unsubscribe(&sync);
-    engine.unsubscribeBatched(&batch);
+    sink.detach();
+    const std::string path = "test_trace_engine_noclock.json";
+    ASSERT_TRUE(sink.writeJson(path));
+    const std::vector<TimelineEvent> events = readTimeline(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].ts, "0.000");
 }
 
-TEST(TraceBatching, AutoDumpWritesTheTimelineOnPanic)
+TEST(ChromeTraceSink, AutoDumpWritesTheTimelineOnPanic)
 {
     // A failing fleet run dies through panic() -> std::abort. The crash
-    // hook must leave a loadable trace file with the events already
-    // delivered to the sink (it deliberately does NOT flush the engine
-    // — the engine's state may be the thing that paniced).
+    // hook must leave a loadable trace file with every event the sink
+    // recorded before the panic.
     const std::string path = "test_trace_engine_panicdump.json";
     std::remove(path.c_str());
     EXPECT_DEATH(
         {
             Soc soc(PlatformConfig::tegra3(16 * MiB));
             probe::ChromeTraceSink sink(1024);
-            sink.attach(soc.trace());
+            sink.attach(soc.trace(), &soc.clock());
             sink.setAutoDump(path);
             soc.memory().write32(DRAM_BASE + 0x40, 0xfeedfaceu);
             panic("trace autodump death test");
@@ -567,14 +559,14 @@ TEST(TraceBatching, AutoDumpWritesTheTimelineOnPanic)
     std::remove(path.c_str());
 }
 
-TEST(TraceBatching, AutoDumpWritesTheTimelineFromTheDestructor)
+TEST(ChromeTraceSink, AutoDumpWritesTheTimelineFromTheDestructor)
 {
     const std::string path = "test_trace_engine_autodump.json";
     std::remove(path.c_str());
     {
         Soc soc(PlatformConfig::tegra3(16 * MiB));
         probe::ChromeTraceSink sink(1024);
-        sink.attach(soc.trace());
+        sink.attach(soc.trace(), &soc.clock());
         sink.setAutoDump(path);
         soc.memory().write32(DRAM_BASE + 0x40, 0xfeedfaceu);
         sink.detach();
@@ -591,22 +583,22 @@ TEST(TraceBatching, AutoDumpWritesTheTimelineFromTheDestructor)
 TEST(CountingEquivalence, InlineMatchesRecordTallyOnPlainTraffic)
 {
     // Same Soc, same stream: the engine's inline counting and the
-    // record-path tally at capacity 1, with a sync subscriber filling
-    // the extraWrites response channel so duplicates are counted too.
+    // reference tally subscribed last, with a subscriber before it
+    // filling the extraWrites response channel so duplicates are
+    // counted too.
     Soc soc(PlatformConfig::tegra3(16 * MiB));
     DuplicatingSubscriber duplicator;
     soc.trace().subscribe(&duplicator,
                           probe::maskOf(probe::TraceKind::BusTransfer));
-    soc.trace().setBatchCapacity(1);
     RecordTallySink reference;
-    soc.trace().subscribeBatched(&reference, probe::TRACE_ALL);
+    soc.trace().subscribe(&reference, probe::TRACE_ALL);
     probe::CounterSink sink;
     sink.attach(soc.trace());
 
     driveWorkload(soc);
     soc.l2().cleanAllMasked();
 
-    soc.trace().unsubscribeBatched(&reference);
+    soc.trace().unsubscribe(&reference);
     expectSameCounters(sink.counters(), reference.counters);
     EXPECT_GT(sink.counters().busDuplicates, 0u);
     EXPECT_GT(sink.counters().cacheWritebacks, 0u);
@@ -619,10 +611,12 @@ namespace
 
 /**
  * Run @p spec the way fault::runTrial does, forced onto the snapshot
- * spawn path, with @p reference subscribed (at capacity 1) to the
- * device's engine for the whole run. The first run parks a device in
- * the pool; the second re-forks that same device, so the reference sees
- * exactly the events the device runner's CounterSink counts.
+ * spawn path, with @p reference subscribed to the device's engine for
+ * the whole run. The first run parks a device in the pool; the second
+ * re-forks that same device, so the reference sees exactly the events
+ * the device runner's CounterSink counts. The runner arms the fault
+ * injector after the reference subscribed, so the reference adds the
+ * schedule's kcryptd stall itself (RecordTallySink::stallFor).
  */
 fleet::DeviceResult
 runWithRecordTally(const fault::FuzzTrialSpec &spec,
@@ -646,11 +640,11 @@ runWithRecordTally(const fault::FuzzTrialSpec &spec,
     fleet::DevicePool pool;
     fleet::runDevice(spec.scenario, fleetOptions, 0, &pool);
     probe::TraceEngine &engine = pool.device->soc().trace();
-    engine.setBatchCapacity(1);
-    engine.subscribeBatched(&reference, probe::TRACE_ALL);
+    reference.schedule = &spec.faults;
+    engine.subscribe(&reference, probe::TRACE_ALL);
     fleet::DeviceResult result =
         fleet::runDevice(spec.scenario, fleetOptions, 0, &pool);
-    engine.unsubscribeBatched(&reference);
+    engine.unsubscribe(&reference);
     return result;
 }
 
